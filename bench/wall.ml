@@ -115,7 +115,8 @@ let workloads =
           Cpu.set_reg cpu 3 128);
     };
     (* xor encryption of 2048 words (Table 6): the SFI worst case and
-       the acceptance workload for the >= 3x speedup bar *)
+       the acceptance workload for the >= 5x speedup bar (>= 6x for its
+       proof-carrying variant) *)
     {
       name = "crypt";
       source = Vino_stream.Grafts.xor_encrypt_source ~key:0x5EC2E7;

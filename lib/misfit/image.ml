@@ -106,10 +106,12 @@ let deserialise words =
   else
     let code_words = words.(0) in
     let body_len = words.(1) in
+    (* Every length is compared against the words that remain, never
+       summed with an offset: a crafted header near [max_int] would
+       overflow the sum and slip past the check. *)
     if
-      code_words < 0 || body_len < code_words || 2 + body_len + 2 > n
-      || words.(2 + body_len) < 0
-      || 2 + body_len + 1 + words.(2 + body_len) + 1 <> n
+      code_words < 0 || body_len < code_words || body_len > n - 4
+      || words.(2 + body_len) <> n - 4 - body_len
     then Error "malformed image header"
     else
       let proof_len = words.(2 + body_len) in
@@ -128,7 +130,7 @@ let deserialise words =
         else
           let index = words.(pos) in
           let len = words.(pos + 1) in
-          if len < 0 || pos + 2 + len > 2 + body_len then
+          if len < 0 || len > body_len - pos then
             Error "truncated relocation name"
           else
             let name =

@@ -95,6 +95,12 @@ val family_name : int -> string
 (** Handler family installed for a tenant index: ["ra"], ["evict"],
     ["sched"] or ["http"] (runaway tenants report ["flood"]). *)
 
+val graft_source : tenant:int -> flood:bool -> Vino_vm.Asm.item list
+(** The handler a tenant installs: its {!family_name} family, or the
+    runaway [net.send] flood when [flood]. Entry: r1 = payload address,
+    r2 = payload length; payload = [| stamp; tenant; request id; work
+    count; ... |]. *)
+
 val run : ?pool:Vino_par.Pool.t -> config -> report
 (** Run the scenario. Deterministic: the report depends only on the
     config, never on [pool] (shards are merged in index order).

@@ -55,11 +55,17 @@ let deserialise words =
     let seg_words = words.(1) and nbits = words.(2) in
     if seg_words < 1 || nbits < 0 then Error "malformed proof header"
     else
-      let nwords = (nbits + bits_per_word - 1) / bits_per_word in
-      if 3 + nwords + 1 > n then Error "truncated proof bitmap"
+      (* Rounded up without [nbits + bits_per_word - 1], which overflows
+         for a crafted [nbits] near [max_int]; lengths are compared
+         against the words that remain rather than summed. *)
+      let nwords =
+        (nbits / bits_per_word)
+        + if nbits mod bits_per_word = 0 then 0 else 1
+      in
+      if nwords > n - 4 then Error "truncated proof bitmap"
       else
         let ncalls = words.(3 + nwords) in
-        if ncalls < 0 || 3 + nwords + 1 + ncalls <> n then
+        if ncalls <> n - 4 - nwords then
           Error "truncated proof call list"
         else
           let safe =

@@ -207,7 +207,9 @@ let step env t (i : Insn.t) : step =
       else raise (Fault_exn (Bad_call_target r.(rr)))
   | Halt -> Stop Halted
 
-let run ?(poll_every = 32) env t prog =
+let default_poll_every = 32
+
+let run ?(poll_every = default_poll_every) env t prog =
   let len = Array.length prog in
   let rec loop since_poll =
     if t.cycles > t.fuel then Out_of_fuel

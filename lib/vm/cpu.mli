@@ -103,10 +103,14 @@ val reset : ?fuel:int -> t -> unit
     allocating, so a hot loop can recycle one cpu across invocations.
     [fuel] defaults to unlimited, like {!make}. *)
 
+val default_poll_every : int
+(** The instruction interval between abort-flag polls that {!run} and
+    {!Jit.run} use unless told otherwise (32). *)
+
 val run : ?poll_every:int -> env -> t -> Insn.t array -> outcome
 (** Execute from instruction 0 until an {!outcome} is reached. [poll_every]
-    (default 32) is the instruction interval between abort-flag polls —
-    the preemption granularity. *)
+    (default {!default_poll_every}) is the instruction interval between
+    abort-flag polls — the preemption granularity. *)
 
 val reg : t -> int -> int
 val set_reg : t -> int -> int -> unit

@@ -10,8 +10,11 @@
      statically from the cost table;
    - every instruction is compiled to a pre-resolved closure; the block
      body is the chain of those closures (direct threading);
-   - hot superinstruction pairs are fused ([Sandbox]+[Ld]/[St] — the
-     MiSFIT access sequence — plus [Li]+[Alu(i)] and [Alu(i)]+[Br]);
+   - two superinstruction shapes are fused: an access group (an
+     optional ALU op, a MiSFIT-confined or proof-elided [Ld]/[St], an
+     optional ALU op, and a block-final [Jmp]) and a whole transform-loop
+     pass (guard [Br], two access groups, loop-closing [Jmp]); a
+     straight-line self-loop is also unrolled to fill a poll window;
    - the fuel and abort-poll checks run once per block, not once per
      instruction.
 
@@ -31,12 +34,14 @@
    observable point — fault, abort, kernel call — is exactly what the
    interpreter would expose.
 
-   Careful path. When an entry condition fails, or when execution
-   resumes mid-block (the wrapper refuels and re-enters at an arbitrary
-   pc), the driver executes per-instruction slow closures with the
-   interpreter's exact per-instruction semantics (and no fusion) until
-   control reaches a block head again. The driver itself re-checks fuel,
-   poll and pc bounds in the interpreter's order before every step. *)
+   Careful path. When an entry condition fails (a poll point or the fuel
+   limit falls inside the tail), the driver executes one slow closure
+   with the interpreter's exact per-instruction semantics (and no
+   fusion), then tries the next pc's tail. Every pc has its own compiled
+   tail, so execution that resumes mid-block (the wrapper refuels and
+   re-enters at an arbitrary pc) stays on the fast path. The driver
+   re-checks fuel, poll and pc bounds in the interpreter's order before
+   every step. *)
 
 type mode = Interp | Translated
 
@@ -69,29 +74,18 @@ type t = {
   source : Insn.t array;
   nblocks : int;
   fused : int;
-  elided : int;
   (* Accesses compiled as bare (non-flushing) superinstructions because a
      carried proof marks them unable to fault. *)
+  elided : int;
   (* Per-pc tails: [body_of_pc.(pc)] executes from [pc] to the end of
-     its basic block, charging [cost_of_pc.(pc)] cycles over
-     [len_of_pc.(pc)] instructions. Compiling every suffix (not just
-     block heads) keeps execution on the fast path when a slice or an
-     abort poll resumes mid-block. *)
+     its basic block, or for one default poll window if that is shorter,
+     charging [cost_of_pc.(pc)] cycles over [len_of_pc.(pc)]
+     instructions. Compiling every suffix (not just block heads) keeps
+     execution on the fast path when a slice or an abort poll resumes
+     mid-block. *)
   body_of_pc : (ctx -> int) array;
   cost_of_pc : int array;
   len_of_pc : int array;
-  (* Power-of-two compiled prefixes of the same tails: [grade_body.(j)]
-     holds the prefix of length [2^j] (when strictly shorter than the
-     full tail), with its cost and length beside it (length 0 = absent).
-     When the full tail cannot fit the remaining poll window or fuel,
-     the driver takes the longest grade that fits; because every length
-     down to one instruction is available, any remainder decomposes
-     exactly into compiled segments — a loop out of phase with the poll
-     grid never falls back to slow stepping, it just lands on the poll
-     point through a couple of shorter compiled hops. *)
-  grade_body : (ctx -> int) array array;
-  grade_cost : int array array;
-  grade_len : int array array;
   (* Unrolled self-loops: when the tail at [pc] ends with a [Jmp] back
      to a head [h <= pc] whose own tail is the full loop body (a
      straight-line loop), [exact_body.(pc).(room)] consumes the
@@ -105,8 +99,8 @@ type t = {
      window, from any loop phase, with no division and no
      remainder hops. [exact_cost.(pc).(room)] is the cycle charge of
      that chain, checked against the fuel budget before dispatch (an
-     under-fuelled window degrades to the graded path, which meters
-     fuel per hop). A zero-length array marks a non-loop pc; an early
+     under-fuelled window takes the careful path, which meters fuel per
+     instruction). A zero-length array marks a non-loop pc; an early
      exit reports its not-run remainder through [ctx.back] like any
      inline branch. *)
   exact_body : (ctx -> int) array array;
@@ -693,410 +687,6 @@ module Fast_body = struct
                         effects ctx;
                         g ctx)
               | _ -> assert false)
-      | Mov (ra, rs)
-        when pc + 2 < stop
-             && (match (prog.(next), prog.(pc + 2)) with
-                | Sandbox a, (Ld (_, b, _) | St (_, b, _)) ->
-                    a = ra && b = ra
-                | _ -> false) -> (
-          (* The full MiSFIT access sequence:
-             [Mov a,s; Sandbox a; Ld/St _,a,off]. The raw address is
-             visible in [a] only between the first two instructions,
-             where nothing can observe it, so the three collapse into
-             sandbox-then-access. *)
-          fused := !fused + 2;
-          let sb = cost_of next in
-          let dc = pend_c + own + sb + cost_of (pc + 2)
-          and di = pend_i + 3
-          and da = pend_a + 1 in
-          let acc_pc = pc + 2 in
-          let after = comp (pc + 3) 0 0 0 0 in
-          match (prog.(acc_pc) : Insn.t) with
-          | Ld (rd, _, off) ->
-              fun ctx ->
-                let t : Cpu.t = ctx.cpu in
-                let r = t.regs in
-                let x = Mem.sandbox t.seg r.(rs) in
-                r.(ra) <- x;
-                t.sandbox_cy <- t.sandbox_cy + sb;
-                if pend_s <> 0 then
-                  t.sandbox_cy <- t.sandbox_cy + pend_s;
-                t.cycles <- t.cycles + dc;
-                t.insns <- t.insns + di;
-                t.pc <- acc_pc;
-                t.accesses <- t.accesses + da;
-                r.(rd) <- Mem.load t.mem (x + off);
-                after ctx
-          | St (rv, _, off) ->
-              fun ctx ->
-                let t : Cpu.t = ctx.cpu in
-                let r = t.regs in
-                let x = Mem.sandbox t.seg r.(rs) in
-                r.(ra) <- x;
-                t.sandbox_cy <- t.sandbox_cy + sb;
-                if pend_s <> 0 then
-                  t.sandbox_cy <- t.sandbox_cy + pend_s;
-                t.cycles <- t.cycles + dc;
-                t.insns <- t.insns + di;
-                t.pc <- acc_pc;
-                t.accesses <- t.accesses + da;
-                Mem.store t.mem (x + off) r.(rv);
-                after ctx
-          | _ -> assert false)
-      | Sandbox rs
-        when next < stop
-             && (match prog.(next) with
-                | Ld _ | St _ -> true
-                | _ -> false) -> (
-          incr fused;
-          let dc = pend_c + own + cost_of next
-          and di = pend_i + 2
-          and da = pend_a + 1 in
-          let after = comp (pc + 2) 0 0 0 0 in
-          match (prog.(next) : Insn.t) with
-          | Ld (rd, rb, off) ->
-              fun ctx ->
-                let t : Cpu.t = ctx.cpu in
-                let r = t.regs in
-                r.(rs) <- Mem.sandbox t.seg r.(rs);
-                t.sandbox_cy <- t.sandbox_cy + own;
-                if pend_s <> 0 then
-                  t.sandbox_cy <- t.sandbox_cy + pend_s;
-                t.cycles <- t.cycles + dc;
-                t.insns <- t.insns + di;
-                t.pc <- next;
-                t.accesses <- t.accesses + da;
-                r.(rd) <- Mem.load t.mem (r.(rb) + off);
-                after ctx
-          | St (rv, rb, off) ->
-              fun ctx ->
-                let t : Cpu.t = ctx.cpu in
-                let r = t.regs in
-                r.(rs) <- Mem.sandbox t.seg r.(rs);
-                t.sandbox_cy <- t.sandbox_cy + own;
-                if pend_s <> 0 then
-                  t.sandbox_cy <- t.sandbox_cy + pend_s;
-                t.cycles <- t.cycles + dc;
-                t.insns <- t.insns + di;
-                t.pc <- next;
-                t.accesses <- t.accesses + da;
-                Mem.store t.mem (r.(rb) + off) r.(rv);
-                after ctx
-          | _ -> assert false)
-      (* A proof-elided access followed by a non-faulting ALU op: both are
-         straight-line, so they fuse like [Li]+[Alu]. *)
-      | Ld (rd, rb, off)
-        when safe_at pc
-             && next < stop
-             && (match prog.(next) with
-                | Alu (op, _, _, _) | Alui (op, _, _, _) ->
-                    opcode op <> None
-                | _ -> false) -> (
-          incr fused;
-          incr elided;
-          let pend_c = pend_c + own + cost_of next
-          and pend_i = pend_i + 2
-          and pend_a = pend_a + 1 in
-          match (prog.(next) : Insn.t) with
-          | Alu (op, d2, a2, b2) ->
-              let o = Option.get (opcode op) in
-              let after = comp (pc + 2) pend_c pend_i pend_a pend_s in
-              fun ctx ->
-                let t : Cpu.t = ctx.cpu in
-                let r = t.regs in
-                r.(rd) <- Mem.load t.mem (r.(rb) + off);
-                r.(d2) <- eval_opc o r.(a2) r.(b2);
-                after ctx
-          | Alui (op, d2, a2, i2) ->
-              let o = Option.get (opcode op) in
-              let after = comp (pc + 2) pend_c pend_i pend_a pend_s in
-              fun ctx ->
-                let t : Cpu.t = ctx.cpu in
-                let r = t.regs in
-                r.(rd) <- Mem.load t.mem (r.(rb) + off);
-                r.(d2) <- eval_opc o r.(a2) i2;
-                after ctx
-          | _ -> assert false)
-      | Li (rd, v)
-        when next < stop
-             && (match prog.(next) with
-                | Alu (op, _, _, _) | Alui (op, _, _, _) ->
-                    opcode op <> None
-                | _ -> false) -> (
-          incr fused;
-          let pend_c = pend_c + own + cost_of next
-          and pend_i = pend_i + 2 in
-          match (prog.(next) : Insn.t) with
-          | Alu (op, d2, a2, b2) ->
-              let o = Option.get (opcode op) in
-              let after = comp (pc + 2) pend_c pend_i pend_a pend_s in
-              fun ctx ->
-                let r = (ctx.cpu : Cpu.t).regs in
-                r.(rd) <- v;
-                r.(d2) <- eval_opc o r.(a2) r.(b2);
-                after ctx
-          | Alui (op, d2, a2, imm) ->
-              let o = Option.get (opcode op) in
-              let after = comp (pc + 2) pend_c pend_i pend_a pend_s in
-              fun ctx ->
-                let r = (ctx.cpu : Cpu.t).regs in
-                r.(rd) <- v;
-                r.(d2) <- eval_opc o r.(a2) imm;
-                after ctx
-          | _ -> assert false)
-      | Li (rd, v)
-        when next < stop
-             && (match prog.(next) with Br _ -> true | _ -> false)
-             && pc + 2 >= stop -> (
-          match (prog.(next) : Insn.t) with
-          | Br (c, ba, bb, target) ->
-              incr fused;
-              let cmp = cond_fn c in
-              let dc = pend_c + own + cost_of next
-              and di = pend_i + 2
-              and da = pend_a in
-              let fall = pc + 2 in
-              fun ctx ->
-                let t : Cpu.t = ctx.cpu in
-                let r = t.regs in
-                r.(rd) <- v;
-                if pend_s <> 0 then
-                  t.sandbox_cy <- t.sandbox_cy + pend_s;
-                t.cycles <- t.cycles + dc;
-                t.insns <- t.insns + di;
-                t.accesses <- t.accesses + da;
-                if cmp r.(ba) r.(bb) then target else fall
-          | _ -> assert false)
-      | Alu (op, rd, ra, rb)
-        when opcode op <> None
-             && next < stop
-             && (match prog.(next) with Br _ -> true | _ -> false)
-             && pc + 2 >= stop -> (
-          match (prog.(next) : Insn.t) with
-          | Br (c, ba, bb, target) ->
-              incr fused;
-              let o = Option.get (opcode op) in
-              let cmp = cond_fn c in
-              let dc = pend_c + own + cost_of next
-              and di = pend_i + 2
-              and da = pend_a in
-              let fall = pc + 2 in
-              fun ctx ->
-                let t : Cpu.t = ctx.cpu in
-                let r = t.regs in
-                r.(rd) <- eval_opc o r.(ra) r.(rb);
-                if pend_s <> 0 then
-                  t.sandbox_cy <- t.sandbox_cy + pend_s;
-                t.cycles <- t.cycles + dc;
-                t.insns <- t.insns + di;
-                t.accesses <- t.accesses + da;
-                if cmp r.(ba) r.(bb) then target else fall
-          | _ -> assert false)
-      | Alui (op, rd, ra, imm)
-        when opcode op <> None
-             && next < stop
-             && (match prog.(next) with Br _ -> true | _ -> false)
-             && pc + 2 >= stop -> (
-          match (prog.(next) : Insn.t) with
-          | Br (c, ba, bb, target) ->
-              incr fused;
-              let o = Option.get (opcode op) in
-              let cmp = cond_fn c in
-              let dc = pend_c + own + cost_of next
-              and di = pend_i + 2
-              and da = pend_a in
-              let fall = pc + 2 in
-              fun ctx ->
-                let t : Cpu.t = ctx.cpu in
-                let r = t.regs in
-                r.(rd) <- eval_opc o r.(ra) imm;
-                if pend_s <> 0 then
-                  t.sandbox_cy <- t.sandbox_cy + pend_s;
-                t.cycles <- t.cycles + dc;
-                t.insns <- t.insns + di;
-                t.accesses <- t.accesses + da;
-                if cmp r.(ba) r.(bb) then target else fall
-          | _ -> assert false)
-      | Alu (op, rd, ra, rb)
-        when opcode op <> None
-             && next < stop
-             && (match prog.(next) with Jmp _ -> true | _ -> false) -> (
-          match (prog.(next) : Insn.t) with
-          | Jmp target ->
-              incr fused;
-              let o = Option.get (opcode op) in
-              let dc = pend_c + own + cost_of next
-              and di = pend_i + 2
-              and da = pend_a in
-              (match chain with
-              | None ->
-                  fun ctx ->
-                    let t : Cpu.t = ctx.cpu in
-                    let r = t.regs in
-                    r.(rd) <- eval_opc o r.(ra) r.(rb);
-                    if pend_s <> 0 then
-                      t.sandbox_cy <- t.sandbox_cy + pend_s;
-                    t.cycles <- t.cycles + dc;
-                    t.insns <- t.insns + di;
-                    t.accesses <- t.accesses + da;
-                    target
-              | Some kont ->
-                  let g = kont dc di da pend_s in
-                  fun ctx ->
-                    let r = (ctx.cpu : Cpu.t).regs in
-                    r.(rd) <- eval_opc o r.(ra) r.(rb);
-                    g ctx)
-          | _ -> assert false)
-      | Alui (op, rd, ra, imm)
-        when opcode op <> None
-             && next < stop
-             && (match prog.(next) with Jmp _ -> true | _ -> false) -> (
-          match (prog.(next) : Insn.t) with
-          | Jmp target ->
-              incr fused;
-              let o = Option.get (opcode op) in
-              let dc = pend_c + own + cost_of next
-              and di = pend_i + 2
-              and da = pend_a in
-              (match chain with
-              | None ->
-                  fun ctx ->
-                    let t : Cpu.t = ctx.cpu in
-                    let r = t.regs in
-                    r.(rd) <- eval_opc o r.(ra) imm;
-                    if pend_s <> 0 then
-                      t.sandbox_cy <- t.sandbox_cy + pend_s;
-                    t.cycles <- t.cycles + dc;
-                    t.insns <- t.insns + di;
-                    t.accesses <- t.accesses + da;
-                    target
-              | Some kont ->
-                  let g = kont dc di da pend_s in
-                  fun ctx ->
-                    let r = (ctx.cpu : Cpu.t).regs in
-                    r.(rd) <- eval_opc o r.(ra) imm;
-                    g ctx)
-          | _ -> assert false)
-      | Alu (op1, d1, a1, b1)
-        when opcode op1 <> None
-             && next < stop
-             && (match prog.(next) with
-                | Alu (op2, _, _, _) | Alui (op2, _, _, _) ->
-                    opcode op2 <> None
-                | _ -> false) -> (
-          incr fused;
-          let o1 = Option.get (opcode op1) in
-          let pend_c = pend_c + own + cost_of next
-          and pend_i = pend_i + 2 in
-          match (prog.(next) : Insn.t) with
-          | Alu (op2, d2, a2, b2) ->
-              let o2 = Option.get (opcode op2) in
-              let after = comp (pc + 2) pend_c pend_i pend_a pend_s in
-              fun ctx ->
-                let r = (ctx.cpu : Cpu.t).regs in
-                r.(d1) <- eval_opc o1 r.(a1) r.(b1);
-                r.(d2) <- eval_opc o2 r.(a2) r.(b2);
-                after ctx
-          | Alui (op2, d2, a2, i2) ->
-              let o2 = Option.get (opcode op2) in
-              let after = comp (pc + 2) pend_c pend_i pend_a pend_s in
-              fun ctx ->
-                let r = (ctx.cpu : Cpu.t).regs in
-                r.(d1) <- eval_opc o1 r.(a1) r.(b1);
-                r.(d2) <- eval_opc o2 r.(a2) i2;
-                after ctx
-          | _ -> assert false)
-      | Alui (op1, d1, a1, i1)
-        when opcode op1 <> None
-             && next < stop
-             && (match prog.(next) with
-                | Alu (op2, _, _, _) | Alui (op2, _, _, _) ->
-                    opcode op2 <> None
-                | _ -> false) -> (
-          incr fused;
-          let o1 = Option.get (opcode op1) in
-          let pend_c = pend_c + own + cost_of next
-          and pend_i = pend_i + 2 in
-          match (prog.(next) : Insn.t) with
-          | Alu (op2, d2, a2, b2) ->
-              let o2 = Option.get (opcode op2) in
-              let after = comp (pc + 2) pend_c pend_i pend_a pend_s in
-              fun ctx ->
-                let r = (ctx.cpu : Cpu.t).regs in
-                r.(d1) <- eval_opc o1 r.(a1) i1;
-                r.(d2) <- eval_opc o2 r.(a2) r.(b2);
-                after ctx
-          | Alui (op2, d2, a2, i2) ->
-              let o2 = Option.get (opcode op2) in
-              let after = comp (pc + 2) pend_c pend_i pend_a pend_s in
-              fun ctx ->
-                let r = (ctx.cpu : Cpu.t).regs in
-                r.(d1) <- eval_opc o1 r.(a1) i1;
-                r.(d2) <- eval_opc o2 r.(a2) i2;
-                after ctx
-          | _ -> assert false)
-      (* An address-forming ALU op feeding a proof-elided access: both are
-         straight-line and non-faulting, so they fuse — the mirror image
-         of the [Ld]+[Alu] pattern above, covering the compute-address /
-         access / compute-next rhythm of verified loop bodies. *)
-      | Alu (op, rd, ra, rb)
-        when opcode op <> None
-             && next < stop
-             && (match prog.(next) with
-                | Ld _ | St _ -> safe_at next
-                | _ -> false) -> (
-          incr fused;
-          incr elided;
-          let o = Option.get (opcode op) in
-          let pend_c = pend_c + own + cost_of next
-          and pend_i = pend_i + 2
-          and pend_a = pend_a + 1 in
-          let after = comp (pc + 2) pend_c pend_i pend_a pend_s in
-          match (prog.(next) : Insn.t) with
-          | Ld (rd2, rb2, off2) ->
-              fun ctx ->
-                let t : Cpu.t = ctx.cpu in
-                let r = t.regs in
-                r.(rd) <- eval_opc o r.(ra) r.(rb);
-                r.(rd2) <- Mem.load t.mem (r.(rb2) + off2);
-                after ctx
-          | St (rv2, rb2, off2) ->
-              fun ctx ->
-                let t : Cpu.t = ctx.cpu in
-                let r = t.regs in
-                r.(rd) <- eval_opc o r.(ra) r.(rb);
-                Mem.store t.mem (r.(rb2) + off2) r.(rv2);
-                after ctx
-          | _ -> assert false)
-      | Alui (op, rd, ra, imm)
-        when opcode op <> None
-             && next < stop
-             && (match prog.(next) with
-                | Ld _ | St _ -> safe_at next
-                | _ -> false) -> (
-          incr fused;
-          incr elided;
-          let o = Option.get (opcode op) in
-          let pend_c = pend_c + own + cost_of next
-          and pend_i = pend_i + 2
-          and pend_a = pend_a + 1 in
-          let after = comp (pc + 2) pend_c pend_i pend_a pend_s in
-          match (prog.(next) : Insn.t) with
-          | Ld (rd2, rb2, off2) ->
-              fun ctx ->
-                let t : Cpu.t = ctx.cpu in
-                let r = t.regs in
-                r.(rd) <- eval_opc o r.(ra) imm;
-                r.(rd2) <- Mem.load t.mem (r.(rb2) + off2);
-                after ctx
-          | St (rv2, rb2, off2) ->
-              fun ctx ->
-                let t : Cpu.t = ctx.cpu in
-                let r = t.regs in
-                r.(rd) <- eval_opc o r.(ra) imm;
-                Mem.store t.mem (r.(rb2) + off2) r.(rv2);
-                after ctx
-          | _ -> assert false)
       (* ---- straight-line instructions ---- *)
       | Li (rd, v) ->
           let after = comp next (pend_c + own) (pend_i + 1) pend_a pend_s in
@@ -1164,25 +754,6 @@ module Fast_body = struct
                 let r = t.regs in
                 r.(rd) <- faulting_alu op r.(ra) imm;
                 after ctx)
-      (* Proof-elided accesses: the address is provably in-segment for the
-         running segment, so the access can never fault and is compiled
-         like [Mov] — no counter flush, no pc store. The pending access
-         count keeps it observable exactly where the interpreter would
-         expose it (the next fault, kernel call or block exit). *)
-      | Ld (rd, rb, off) when safe_at pc ->
-          incr elided;
-          let after = comp next (pend_c + own) (pend_i + 1) (pend_a + 1) pend_s in
-          fun ctx ->
-            let t : Cpu.t = ctx.cpu in
-            t.regs.(rd) <- Mem.load t.mem (t.regs.(rb) + off);
-            after ctx
-      | St (rv, rb, off) when safe_at pc ->
-          incr elided;
-          let after = comp next (pend_c + own) (pend_i + 1) (pend_a + 1) pend_s in
-          fun ctx ->
-            let t : Cpu.t = ctx.cpu in
-            Mem.store t.mem (t.regs.(rb) + off) t.regs.(rv);
-            after ctx
       | Ld (rd, rb, off) ->
           let dc = pend_c + own
           and di = pend_i + 1
@@ -1416,6 +987,10 @@ module Fast_body = struct
   let c0, i0, a0, s0 = pend0 in
   comp start c0 i0 a0 s0
 
+end
+
+let compile_block = Fast_body.compile_block
+
 (* -------------------------------------------------------------------- *)
 (* Careful path: one interpreter-exact closure per instruction           *)
 (* -------------------------------------------------------------------- *)
@@ -1423,10 +998,6 @@ module Fast_body = struct
 (* The driver has already re-checked fuel/poll/bounds and stored [pc],
    exactly as the interpreter's loop head does; each closure replicates
    one loop iteration: charge, attribute, step. *)
-end
-
-let compile_block = Fast_body.compile_block
-
 let compile_slow ~costs pc (i : Insn.t) : ctx -> int =
   let cost = Costs.insn costs i in
   let next = pc + 1 in
@@ -1601,20 +1172,7 @@ let compile_slow ~costs pc (i : Insn.t) : ctx -> int =
 (* Translation                                                           *)
 (* -------------------------------------------------------------------- *)
 
-(* Cross-block fusion cap: a fused segment longer than the poll interval
-   could never pass the fast-entry poll condition, so extending past it
-   only costs translation time. *)
-let xblock_cap = 32
-
-(* Prefix-ladder levels: lengths 2^0 .. 2^5; 32 covers a full default
-   poll window, so any remainder a tail entry can face is expressible. *)
-let grade_levels = 6
-
-(* The abort-poll interval {!Cpu.run} defaults to; unrolled self-loop
-   tails are sized so a whole window's worth of iterations fits. *)
-let default_poll_every = 32
-
-let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
+let translate ?(costs = Costs.default) ?safe prog =
   let source = Array.copy prog in
   let prog = source in
   let n = Array.length prog in
@@ -1654,6 +1212,13 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
       | Br _ -> ()
       | i -> if terminates i && pc + 1 < n then leader.(pc + 1) <- true)
     prog;
+  let sum_cost lo hi =
+    let cost = ref 0 in
+    for m = lo to hi - 1 do
+      cost := !cost + Costs.insn costs prog.(m)
+    done;
+    !cost
+  in
   let fused = ref 0 in
   let elided = ref 0 in
   let nblocks = ref 0 in
@@ -1661,42 +1226,18 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
   let body_of_pc = Array.make n (fun ctx -> finish ctx Cpu.Halted) in
   let cost_of_pc = Array.make n 0 in
   let len_of_pc = Array.make n 0 in
-  let grade_body =
-    Array.init grade_levels (fun _ ->
-        Array.make n (fun ctx -> finish ctx Cpu.Halted))
-  in
-  let grade_cost = Array.init grade_levels (fun _ -> Array.make n 0) in
-  let grade_len = Array.init grade_levels (fun _ -> Array.make n 0) in
   let exact_body = Array.make n [||] in
   let exact_cost = Array.make n [||] in
-  (* Compiling a tail for every suffix of a block is quadratic in block
-     length; past this cap a pc keeps its slow closure as a
-     one-instruction tail (same semantics, and the fast-entry conditions
-     stay trivially exact), bounding translation to [tail_cap * n]
-     closures. Suffixes longer than the poll interval could never pass
-     the fast-entry poll condition anyway. *)
-  let tail_cap = 64 in
+  (* A tail runs from its pc to the end of its basic block or for one
+     default poll window, whichever is shorter. A longer tail could never
+     pass the fast-entry poll check, and the cap bounds the quadratic
+     cost of compiling every suffix to [default_poll_every * n]
+     closures. *)
+  let window = Cpu.default_poll_every in
   let ends pc =
     match (prog.(pc) : Insn.t) with
     | Br _ -> false (* extends through its fall-through *)
     | i -> terminates i
-  in
-  (* The tail at [k] compiles to the end of [k]'s basic block — or, with
-     cross-block fusion on, through any chain of unconditional
-     fallthroughs into successor blocks (a leader reached without a
-     terminator is straight-line control flow: the leader merely marks a
-     join point some branch also targets). The join-point pc keeps its
-     own tail for entries that arrive by branching, so extending the
-     fallthrough tail past it never orphans an entry point. *)
-  let tail_stop k =
-    let cap = if xblock then min n (k + xblock_cap) else n in
-    let j = ref k in
-    while
-      (not (ends !j)) && !j + 1 < cap && (xblock || not leader.(!j + 1))
-    do
-      incr j
-    done;
-    !j + 1
   in
   let pc = ref 0 in
   while !pc < n do
@@ -1708,35 +1249,15 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
     let bstop = !j + 1 in
     let scrap = ref 0 in
     for k = start to bstop - 1 do
-      let stop = tail_stop k in
-      let sum_cost lo hi =
-        let cost = ref 0 in
-        for m = lo to hi - 1 do
-          cost := !cost + Costs.insn costs prog.(m)
-        done;
-        !cost
-      in
-      if regs_ok && stop - k <= tail_cap then begin
+      if regs_ok then begin
+        let stop = min bstop (k + window) in
         let f = if k = start then fused else scrap in
         let e = if k = start then elided else scrap in
         body_of_pc.(k) <-
           compile_block ~costs ~safe_at prog ~start:k ~stop ~fused:f
             ~elided:e;
         len_of_pc.(k) <- stop - k;
-        cost_of_pc.(k) <- sum_cost k stop;
-        (* Prefix ladder: one compiled prefix per power-of-two length
-           strictly shorter than the full tail. *)
-        let flen = stop - k in
-        for j = 0 to grade_levels - 1 do
-          let gl = 1 lsl j in
-          if gl < flen then begin
-            grade_body.(j).(k) <-
-              compile_block ~costs ~safe_at prog ~start:k ~stop:(k + gl)
-                ~fused:scrap ~elided:scrap;
-            grade_len.(j).(k) <- gl;
-            grade_cost.(j).(k) <- sum_cost k (k + gl)
-          end
-        done
+        cost_of_pc.(k) <- sum_cost k stop
       end
       else begin
         (* Slow closures expect [cpu.pc] to be current (the slow driver
@@ -1776,53 +1297,44 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
     let stop = h + flen in
     if
       flen > 1
-      && flen <= default_poll_every
-      && Array.length exact_body.(h) = 0
-      && stop <= n
       &&
       match (prog.(stop - 1) : Insn.t) with
       | Jmp target -> target = h
       | _ -> false
     then begin
-      let sum_cost lo hi =
-        let cost = ref 0 in
-        for m = lo to hi - 1 do
-          cost := !cost + Costs.insn costs prog.(m)
-        done;
-        !cost
-      in
+      (* As a jump target, [h] heads its basic block and the [Jmp] ends
+         it, so the loop is exactly that block: every [k] in it has the
+         tail [k, stop), and no other loop covers it. *)
       let lcost = cost_of_pc.(h) in
-      (* [window start room pend]: a chain executing exactly [room]
+      (* [unroll start room pend]: a chain executing exactly [room]
          unrolled instructions from [start], entered with [pend]
          already accumulated. *)
-      let rec window start room pend =
+      let rec unroll start room pend =
         let p = stop - start in
         if room <= p then
           compile_block ~costs ~safe_at ~pend0:pend prog ~start
             ~stop:(start + room) ~fused:scrap ~elided:scrap
         else
           compile_block ~costs ~safe_at ~pend0:pend
-            ~chain:(fun c i a s -> window h (room - p) (c, i, a, s))
+            ~chain:(fun c i a s -> unroll h (room - p) (c, i, a, s))
             ~extra_back:(room - p) prog ~start ~stop ~fused:scrap
             ~elided:scrap
       in
       for k = h to stop - 1 do
         let p = stop - k in
-        if len_of_pc.(k) = p && Array.length exact_body.(k) = 0 then begin
-          let pcost = sum_cost k stop in
-          let xb = Array.make (default_poll_every + 1) body_of_pc.(k) in
-          let xc = Array.make (default_poll_every + 1) 0 in
-          for room = 1 to default_poll_every do
-            xb.(room) <- window k room (0, 0, 0, 0);
-            xc.(room) <-
-              (if room < p then sum_cost k (k + room)
-               else
-                 let rest = room - p in
-                 pcost + (rest / flen * lcost) + sum_cost h (h + (rest mod flen)))
-          done;
-          exact_body.(k) <- xb;
-          exact_cost.(k) <- xc
-        end
+        let xb = Array.make (window + 1) body_of_pc.(k) in
+        let xc = Array.make (window + 1) 0 in
+        for room = 1 to window do
+          xb.(room) <- unroll k room (0, 0, 0, 0);
+          xc.(room) <-
+            (if room < p then sum_cost k (k + room)
+             else
+               let rest = room - p in
+               cost_of_pc.(k) + (rest / flen * lcost)
+               + sum_cost h (h + (rest mod flen)))
+        done;
+        exact_body.(k) <- xb;
+        exact_cost.(k) <- xc
       done
     end
   done;
@@ -1834,9 +1346,6 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
     body_of_pc;
     cost_of_pc;
     len_of_pc;
-    grade_body;
-    grade_cost;
-    grade_len;
     exact_body;
     exact_cost;
     slow;
@@ -1864,12 +1373,11 @@ let seg_confined (cpu : Cpu.t) =
    loop-head checks in its exact order: fuel, poll, pc bounds. [cpu.pc]
    is written only where it is observable — on every exit and before
    each slow step (fast bodies store it themselves ahead of anything
-   that can fault or call out). Any in-range pc has a fast tail running
-   to the end of its block/segment, so resuming mid-block (after a poll
-   reset or a refueled slice) stays on the fast path; the bounds check
-   above makes the unsafe array reads safe. A top-level function rather
-   than a closure so entering costs no allocation. *)
-
+   that can fault or call out). Any in-range pc has a fast tail, so
+   resuming mid-block (after a poll reset or a refueled slice) stays on
+   the fast path; the bounds check above makes the unsafe array reads
+   safe. Top-level functions rather than closures so entering costs no
+   allocation. *)
 let rec drive t ctx len poll_every pc since_poll =
   let cpu = ctx.cpu in
   if cpu.Cpu.cycles > cpu.fuel then begin
@@ -1894,94 +1402,50 @@ let rec drive t ctx len poll_every pc since_poll =
          whole iterations, and a compiled prefix of the final pass cut
          exactly at the window boundary. The pending counts thread
          across the chained copies and flush once, at the window's end
-         (or at whatever observable event cuts it short). An
-         under-fuelled window takes the graded path instead, which
-         meters fuel hop by hop. *)
+         (or at whatever observable event cuts it short). *)
       let room = poll_every - since_poll in
-      let ri = if room > default_poll_every then default_poll_every
-               else room in
+      let ri =
+        if room > Cpu.default_poll_every then Cpu.default_poll_every else room
+      in
       if
         cpu.cycles + Array.unsafe_get (Array.unsafe_get t.exact_cost pc) ri
         <= cpu.fuel
-      then begin
+      then
         let pc' = Array.unsafe_get xb ri ctx in
-        let walked = since_poll + ri in
-        if ctx.fin then ctx.out
-        else if ctx.back = 0 then drive t ctx len poll_every pc' walked
-        else begin
-          let w = walked - ctx.back in
-          ctx.back <- 0;
-          drive t ctx len poll_every pc' w
-        end
-      end
-      else fallback t ctx len poll_every pc since_poll room
+        landed t ctx len poll_every pc' (since_poll + ri)
+      else step t ctx len poll_every pc since_poll
     end
     else
-    let tail_len = Array.unsafe_get t.len_of_pc pc in
-    let walked = since_poll + tail_len in
-    if
-      walked <= poll_every
-      && cpu.cycles + Array.unsafe_get t.cost_of_pc pc <= cpu.fuel
-    then
-      let pc' = Array.unsafe_get t.body_of_pc pc ctx in
-      if ctx.fin then ctx.out
-      else if ctx.back = 0 then drive t ctx len poll_every pc' walked
-      else begin
-        (* A conditional branch inside the body was taken: the tail's
-           last [ctx.back] instructions did not run. *)
-        let w = walked - ctx.back in
-        ctx.back <- 0;
-        drive t ctx len poll_every pc' w
-      end
-    else begin
-      (* The full tail cannot fit the remaining window (or fuel): take
-         the longest power-of-two prefix that does. Every length down to
-         one instruction is compiled, so the remainder decomposes into
-         compiled segments exactly; the slow step remains only for the
-         fuel edge (where the interpreter executes an instruction whose
-         charge overshoots the budget) and for programs without fast
-         bodies. Each prefix is a genuine compiled segment ending in a
-         flush, so the fast-path argument applies unchanged. *)
-      fallback t ctx len poll_every pc since_poll (poll_every - since_poll)
-    end
+      let walked = since_poll + Array.unsafe_get t.len_of_pc pc in
+      if
+        walked <= poll_every
+        && cpu.cycles + Array.unsafe_get t.cost_of_pc pc <= cpu.fuel
+      then
+        let pc' = Array.unsafe_get t.body_of_pc pc ctx in
+        landed t ctx len poll_every pc' walked
+      else step t ctx len poll_every pc since_poll
 
-and fallback t ctx len poll_every pc since_poll room =
-  (* start below the largest power that could fit the room *)
-  let j0 =
-    if room >= 32 then 5
-    else if room >= 16 then 4
-    else if room >= 8 then 3
-    else if room >= 4 then 2
-    else if room >= 2 then 1
-    else 0
-  in
-  graded t ctx len poll_every pc since_poll room j0
-
-and graded t ctx len poll_every pc since_poll room j =
-  let cpu = ctx.cpu in
-  if j < 0 then begin
-    cpu.Cpu.pc <- pc;
-    let pc2 = Array.unsafe_get t.slow pc ctx in
-    if ctx.fin then ctx.out
-    else drive t ctx len poll_every pc2 (since_poll + 1)
+(* After a compiled segment, [walked] counts all of its instructions; a
+   conditional branch taken inside it reports in [ctx.back] how many did
+   not run. *)
+and landed t ctx len poll_every pc walked =
+  if ctx.fin then ctx.out
+  else if ctx.back = 0 then drive t ctx len poll_every pc walked
+  else begin
+    let w = walked - ctx.back in
+    ctx.back <- 0;
+    drive t ctx len poll_every pc w
   end
-  else
-    let gl = Array.unsafe_get (Array.unsafe_get t.grade_len j) pc in
-    if
-      gl > 0 && gl <= room
-      && cpu.cycles + Array.unsafe_get (Array.unsafe_get t.grade_cost j) pc
-         <= cpu.fuel
-    then
-      let pc2 = Array.unsafe_get (Array.unsafe_get t.grade_body j) pc ctx in
-      let gwalked = since_poll + gl in
-      if ctx.fin then ctx.out
-      else if ctx.back = 0 then drive t ctx len poll_every pc2 gwalked
-      else begin
-        let w = gwalked - ctx.back in
-        ctx.back <- 0;
-        drive t ctx len poll_every pc2 w
-      end
-    else graded t ctx len poll_every pc since_poll room (j - 1)
+
+(* The careful path: one interpreter-exact step, taken when the tail
+   cannot fit the remaining poll window or fuel. Stepping lands a poll
+   point on the exact instruction the interpreter polls at, and stops
+   [Out_of_fuel] on the exact instruction whose charge overshoots the
+   budget. *)
+and step t ctx len poll_every pc since_poll =
+  ctx.cpu.Cpu.pc <- pc;
+  let pc' = Array.unsafe_get t.slow pc ctx in
+  if ctx.fin then ctx.out else drive t ctx len poll_every pc' (since_poll + 1)
 
 (* Context recycling: invocations are the hot unit of work, so the
    driver context comes from a per-domain free stack instead of the
@@ -2020,7 +1484,7 @@ let give_ctx pool c =
   pool.free.(pool.n) <- c;
   pool.n <- pool.n + 1
 
-let run ?(poll_every = 32) env (cpu : Cpu.t) t =
+let run ?(poll_every = Cpu.default_poll_every) env (cpu : Cpu.t) t =
   (* Checked mode is the interpreted-extension measurement model: its
      per-access check cost is the interpretation price, so it must keep
      being interpreted. *)

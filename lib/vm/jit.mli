@@ -4,9 +4,10 @@
     re-matches its constructor, re-looks-up its cycle cost and re-checks
     fuel and the abort poll. [translate] does all of that once, at link
     time: the program is decomposed into basic blocks, each instruction
-    becomes a pre-resolved OCaml closure (direct threading), hot
-    superinstruction pairs are fused, and the fuel/poll checks are hoisted
-    to block boundaries.
+    becomes a pre-resolved OCaml closure (direct threading), MiSFIT and
+    proof-carrying access groups and whole transform-loop passes are
+    fused into superinstructions, and the fuel/poll checks are hoisted to
+    block boundaries.
 
     The translation is {b bit-identical} to the interpreter at every
     observable point: [cycles], [insns_executed], [mem_accesses],
@@ -30,41 +31,35 @@ val default_mode : mode ref
 (** Execution mode newly created kernels pick up ([Translated] unless the
     CLI's [--mode interp] flag says otherwise). *)
 
-val translate :
-  ?costs:Costs.t -> ?safe:bool array -> ?xblock:bool -> Insn.t array -> t
+val translate : ?costs:Costs.t -> ?safe:bool array -> Insn.t array -> t
 (** Compile a validated program against a cost table. [costs] must equal
     the table the executing {!Cpu.t} was created with, or cycle accounting
-    diverges from the interpreter.
-
-    [xblock] (default [true]) widens superinstruction fusion across
-    basic-block boundaries: a block that ends only because its successor
-    is a branch target (an unconditional fallthrough into a join point)
-    compiles through the join into one segment with a single tail
-    fuel/poll check, capped at the poll interval. The join pc keeps its
-    own tail for entries that arrive by branching, so every pc remains a
-    valid entry point and the equivalence argument is unchanged.
+    diverges from the interpreter. Every pc gets a compiled tail running
+    to the end of its basic block or for {!Cpu.default_poll_every}
+    instructions, whichever is shorter.
 
     [safe] is a per-pc proof map (one entry per instruction): [true] at a
     [Ld]/[St] asserts a static verifier proved the access in-segment for
     the running configuration, so it can never fault. Such accesses are
     compiled as bare superinstructions — straight-line closures with no
-    counter flush or pc store, like [Mov] — and fuse with a following
-    non-faulting ALU op. Observable equivalence with the interpreter is
-    preserved because a flush only becomes visible at a fault, kernel
-    call, poll or block exit, and by assumption no elided access can
-    fault. The caller is responsible for the map's soundness (the linker
-    re-validates the proof's assumptions before passing it); a map whose
-    length does not match the program is ignored. *)
+    counter flush or pc store, like [Mov] — and fuse with the
+    non-faulting ALU ops around them. Observable equivalence with the
+    interpreter is preserved because a flush only becomes visible at a
+    fault, kernel call, poll or block exit, and by assumption no elided
+    access can fault. The caller is responsible for the map's soundness
+    (the linker re-validates the proof's assumptions before passing it);
+    a map whose length does not match the program is ignored. *)
 
 val run : ?poll_every:int -> Cpu.env -> Cpu.t -> t -> Cpu.outcome
-(** Drop-in replacement for [Cpu.run env cpu (source t)]. Starts from the
+(** Drop-in replacement for [Cpu.run env cpu (source t)]; [poll_every]
+    defaults to {!Cpu.default_poll_every}. Starts from the
     cpu's current [pc] (0 on a fresh cpu; wherever the previous slice
     stopped after a refuel). Checked-mode cpus fall back to the
     interpreter: per-access bounds checking is the interpretation model
     the paper compares against, so translating it away would be
     measurement fraud. A cpu whose segment is malformed or not contained
     in its memory also falls back (the sandboxed-access
-    superinstructions assume confinement; see DESIGN.md §16).
+    superinstructions assume confinement; see DESIGN.md §11).
 
     Allocation-free in steady state on the translated path: the driver
     context is recycled through a per-domain pool, so a translated

@@ -81,9 +81,45 @@ let test_deserialise_garbage () =
   (match Image.deserialise [| 1; 2 |] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "short image accepted");
-  match Image.deserialise [| 4; 4; 999; 0; 0; 0; 42 |] with
+  (match Image.deserialise [| 4; 4; 999; 0; 0; 0; 42 |] with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad opcode accepted"
+  | Ok _ -> Alcotest.fail "bad opcode accepted");
+  (* Crafted lengths near [max_int]: summing them with an offset would
+     overflow past the bounds checks. *)
+  let rejects what = function
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail (what ^ " accepted")
+  in
+  rejects "body length near max_int"
+    (Image.deserialise [| 0; max_int - 1; 0; 0 |]);
+  rejects "relocation name length max_int"
+    (Image.deserialise [| 0; 2; 0; max_int; 0; 0 |]);
+  rejects "proof bitmap length near max_int"
+    (Vino_verify.Proof.deserialise [| 1; 64; max_int - 3; 0; 0 |])
+
+(* Every decoder of untrusted words is total: any int array yields [Ok]
+   or [Error], never an exception. Elements lean towards small lengths
+   and the extremes around [min_int]/[max_int], where length arithmetic
+   breaks. *)
+let prop_decoders_total =
+  let open QCheck2 in
+  let word =
+    Gen.(
+      frequency
+        [
+          (6, int_range (-2) 40);
+          (2, map (fun k -> max_int - k) (int_range 0 40));
+          (1, map (fun k -> min_int + k) (int_range 0 3));
+          (1, int);
+        ])
+  in
+  Test.make ~name:"decoders total on arbitrary int arrays" ~count:10_000
+    Gen.(array_size (int_range 0 16) word)
+    (fun words ->
+      let total decode = match decode words with _ -> true in
+      total Image.deserialise
+      && total Vino_verify.Proof.deserialise
+      && total Vino_vm.Encode.of_words)
 
 let test_save_load_roundtrip () =
   let image = seal_exn (sample_obj ()) in
@@ -213,6 +249,7 @@ let suite =
           test_serialise_roundtrip;
         Alcotest.test_case "deserialise rejects garbage" `Quick
           test_deserialise_garbage;
+        QCheck_alcotest.to_alcotest prop_decoders_total;
         Alcotest.test_case "save/load .gimg round trip" `Quick
           test_save_load_roundtrip;
         Alcotest.test_case "digest is sensitive to every word" `Quick

@@ -17,6 +17,8 @@
      [Checkcall] predicate ran, under several poll intervals including
      poll-every-instruction and an abort that fires mid-run.
 
+   The paper grafts, the serve handlers and long straight-line blocks
+   run through the same comparison at every poll interval from 1 to 33.
    A final golden test renders Tables 3-7 to JSON under both execution
    modes and requires the bytes to be identical. *)
 
@@ -332,41 +334,6 @@ let run_seed seed =
   List.length
     (List.filter (fun (_, _, safe) -> Option.is_some safe) vs)
 
-(* The fused-xblock mode: cross-block fusion on versus off, both
-   translated. Fusion must be invisible to every observable — same
-   snapshots, same counters, same memory — it may only change how many
-   closures the program compiles to. This pins the widened fusion
-   (access groups, mega loop passes, exact-window unrolling) to the
-   unfused translation over the whole corpus. *)
-let differential_xblock ~seed ~vname ~cfg ~init_regs ~init_mem ?safe code =
-  let run trans =
-    run_mode ~init_regs ~init_mem cfg
-      (fun env cpu code () ->
-        trans_step trans env cpu code ~poll_every:cfg.poll_every ())
-      code
-  in
-  let fused = run (Jit.translate ?safe ~xblock:true code) in
-  let unfused = run (Jit.translate ?safe ~xblock:false code) in
-  Alcotest.(check string)
-    (Printf.sprintf "seed=%d %s %s fused-xblock" seed vname cfg.cname)
-    fused unfused
-
-let run_seed_xblock seed =
-  let st = Random.State.make [| 0xD1FF; seed |] in
-  let source = gen_program st in
-  let vs = variants st source in
-  let init_regs, init_mem = init_for st in
-  List.iter
-    (fun (vname, code, safe) ->
-      if variant_enabled vname then
-        List.iter
-          (fun cfg ->
-            differential_xblock ~seed ~vname ~cfg ~init_regs ~init_mem ?safe
-              code)
-          configs)
-    vs;
-  0
-
 let test_domains =
   match Sys.getenv_opt "VINO_TEST_DOMAINS" with
   | Some s -> ( match int_of_string_opt s with Some n when n >= 1 -> n | _ -> 1)
@@ -385,16 +352,175 @@ let test_corpus () =
     "corpus exercises the proof-carrying variant" true
     (List.fold_left ( + ) 0 proved > 0)
 
-let test_corpus_xblock () =
-  let results =
-    if test_domains <= 1 then List.map run_seed_xblock corpus_seeds
-    else
-      let pool = Vino_par.Pool.create ~domains:test_domains () in
-      Fun.protect
-        ~finally:(fun () -> Vino_par.Pool.shutdown pool)
-        (fun () -> Vino_par.Pool.map ~pool run_seed_xblock corpus_seeds)
+(* ------------------------------------------------------------------ *)
+(* Fixed workloads: paper grafts, a serve handler, long blocks         *)
+(* ------------------------------------------------------------------ *)
+
+(* The random corpus rarely produces the shapes the translator
+   specialises — MiSFIT access groups, transform-loop passes, exact-window
+   self-loops, proof-elided accesses — or a basic block longer than one
+   poll window. These fixed programs do, and each runs at every poll
+   interval from 1 to 33 (one past the default window) both in one slice
+   and in refuelled slices of 18 to 50 cycles, shorter than the
+   70-instruction block, so they stop mid-block. *)
+let fixed_configs =
+  List.concat_map
+    (fun poll ->
+      [
+        { cname = Printf.sprintf "poll%d-whole" poll; slice = 1_000_000;
+          max_slices = 1; poll_every = poll; abort_after = None };
+        { cname = Printf.sprintf "poll%d-sliced" poll; slice = 17 + poll;
+          max_slices = 100_000; poll_every = poll; abort_after = None };
+      ])
+    (List.init 33 (fun k -> k + 1))
+
+(* Seal through MiSFIT (under [verifier] when given) and patch every
+   relocation to kernel call 1, which the differential environment
+   answers by charging cycles. Patching is in place, so a proof's
+   per-pc safe map stays aligned. *)
+let sealed ?verifier source =
+  match
+    Vino_misfit.Image.seal ?verifier ~key:"jit-test" (Asm.assemble_exn source)
+  with
+  | Error e -> Alcotest.fail e
+  | Ok image ->
+      let code = Array.copy image.Vino_misfit.Image.code in
+      List.iter
+        (fun r -> code.(r.Asm.index) <- Insn.Kcall 1)
+        image.Vino_misfit.Image.relocs;
+      (code, Option.map Vino_verify.Proof.safe image.Vino_misfit.Image.proof)
+
+(* A machine image: registers from [regs] (the rest zero, sp at the top
+   of the segment), memory zero except the [(address, value)] pairs. *)
+let image ~regs ~mem =
+  let init_regs = Array.make Insn.num_regs 0 in
+  init_regs.(Insn.sp) <- seg_base + seg_size;
+  List.iter (fun (r, v) -> init_regs.(r) <- v) regs;
+  let init_mem = Array.make mem_words 0 in
+  List.iter (fun (a, v) -> init_mem.(a) <- v) mem;
+  (init_regs, init_mem)
+
+let crypt_words = 48
+
+(* A straight-line block of [len] instructions, run four times by a
+   countdown loop: loads and stores through r1..r4 (which point into the
+   segment and are never overwritten), everything else into r5..r11. *)
+let straight_line len =
+  let st = Random.State.make [| 0x5714; len |] in
+  let dst () = 5 + Random.State.int st 7 in
+  let src () = 1 + Random.State.int st 11 in
+  let ops = [| Insn.Add; Sub; Mul; And; Or; Xor; Shl; Shr |] in
+  let item () : Asm.item =
+    match Random.State.int st 6 with
+    | 0 -> Li (dst (), Random.State.int st 100)
+    | 1 -> Mov (dst (), src ())
+    | 2 -> Alu (ops.(Random.State.int st 8), dst (), src (), src ())
+    | 3 ->
+        Alui
+          (ops.(Random.State.int st 8), dst (), src (), Random.State.int st 5)
+    | 4 -> Ld (dst (), 1 + Random.State.int st 4, Random.State.int st 4)
+    | _ -> St (src (), 1 + Random.State.int st 4, Random.State.int st 4)
   in
-  ignore (results : int list)
+  [ Asm.Li (Asm.r12, 0); Li (Asm.r13, 4); Label "top" ]
+  @ List.init len (fun _ -> item ())
+  @ [
+      Asm.Alui (Insn.Sub, Asm.r13, Asm.r13, 1);
+      Br (Insn.Gt, Asm.r13, Asm.r12, "top");
+      Halt;
+    ]
+
+let fixed_workloads () =
+  let crypt = Vino_stream.Grafts.xor_encrypt_source ~key:0x5EC2E7 in
+  let crypt_regs =
+    [ (1, seg_base); (2, seg_base + crypt_words); (3, crypt_words) ]
+  in
+  let crypt_mem = List.init crypt_words (fun k -> (seg_base + k, k * 37)) in
+  let crypt_verifier =
+    Vino_verify.Verify.config
+      ~entry:
+        [
+          (1, Vino_verify.Verify.seg_window ());
+          (2, Vino_verify.Verify.seg_window ~off:crypt_words ());
+          (3, Vino_verify.Verify.arg_at_most crypt_words);
+        ]
+      ~words:seg_size ()
+  in
+  let serve_verifier =
+    Vino_verify.Verify.config
+      ~entry:
+        [
+          (1, Vino_verify.Verify.seg_window ());
+          (2, Vino_verify.Verify.arg_at_most 16);
+        ]
+      ~words:8 ()
+  in
+  let serve_image tenant =
+    image ~regs:[ (1, seg_base); (2, 16) ]
+      ~mem:[ (seg_base, 900); (seg_base + 1, tenant); (seg_base + 2, 5);
+             (seg_base + 3, 21) ]
+  in
+  let pages = 12 in
+  let block_regs =
+    [ (1, seg_base); (2, seg_base + 17); (3, seg_base + 40); (4, seg_base + 90);
+      (5, 3); (6, -7); (7, 11) ]
+  in
+  let plain name source init = (name, fst (sealed source), None, init) in
+  [
+    plain "readahead"
+      (Vino_fs.Readahead.app_directed_source ~lock_kcall:"ra.lock")
+      (image ~regs:[ (4, seg_base) ]
+         ~mem:[ (seg_base + Vino_fs.Readahead.pattern_slot, 17) ]);
+    plain "evict"
+      (Vino_vmem.Grafts.protect_hot_pages_source ())
+      (image
+         ~regs:[ (1, 1); (2, seg_base + 64); (3, pages); (4, seg_base) ]
+         ~mem:
+           ((seg_base, pages)
+           :: List.init pages (fun k -> (seg_base + 1 + k, k + 1))
+           @ List.init pages (fun j -> (seg_base + 64 + j, j + 1))));
+    plain "sched"
+      (Vino_sched.Grafts.scan_and_return_self_source ())
+      (image ~regs:[ (1, 7); (2, seg_base); (3, 64) ] ~mem:[]);
+    plain "crypt" crypt (image ~regs:crypt_regs ~mem:crypt_mem);
+    (let code, safe = sealed ~verifier:crypt_verifier crypt in
+     ("crypt-verified", code, safe, image ~regs:crypt_regs ~mem:crypt_mem));
+  ]
+  @ List.init 4 (fun tenant ->
+        plain
+          (Printf.sprintf "serve-%s" (Vino_net.Serve.family_name tenant))
+          (Vino_net.Serve.graft_source ~tenant ~flood:false)
+          (serve_image tenant))
+  @ [
+      (let code, safe =
+         sealed ~verifier:serve_verifier
+           (Vino_net.Serve.graft_source ~tenant:0 ~flood:false)
+       in
+       ("serve-ra-verified", code, safe, serve_image 0));
+      ("block40", (Asm.assemble_exn (straight_line 40)).Asm.code, None,
+       image ~regs:block_regs ~mem:[]);
+      ("block70", (Asm.assemble_exn (straight_line 70)).Asm.code, None,
+       image ~regs:block_regs ~mem:[]);
+    ]
+
+let test_fixed_workloads () =
+  let ws = fixed_workloads () in
+  List.iter
+    (fun (vname, code, safe, (init_regs, init_mem)) ->
+      List.iter
+        (fun cfg ->
+          differential ~seed:0 ~vname ~cfg ~init_regs ~init_mem ?safe code)
+        fixed_configs)
+    ws;
+  let proved =
+    List.filter_map
+      (fun (name, _, safe, _) ->
+        match safe with
+        | Some m when Array.exists Fun.id m -> Some name
+        | _ -> None)
+      ws
+  in
+  Alcotest.(check (list string)) "proof maps carry safe accesses"
+    [ "crypt-verified"; "serve-ra-verified" ] proved
 
 (* ------------------------------------------------------------------ *)
 (* Edge cases                                                          *)
@@ -594,8 +720,9 @@ let suite =
     ( "jit",
       [
         Alcotest.test_case "differential fuzz corpus" `Quick test_corpus;
-        Alcotest.test_case "fused-xblock differential over corpus" `Quick
-          test_corpus_xblock;
+        Alcotest.test_case
+          "paper grafts, serve handlers, long blocks at poll 1-33" `Quick
+          test_fixed_workloads;
         Alcotest.test_case "empty program" `Quick test_empty_program;
         Alcotest.test_case "checked-mode fallback" `Quick
           test_checked_fallback;
