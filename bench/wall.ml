@@ -317,7 +317,7 @@ let measure_code ~name ~code ~safe w =
     trans_s;
     trans_words;
     blocks = Jit.block_count trans;
-    fused = Jit.fused_pairs trans;
+    fused = Jit.fused_insns trans;
     elided = Jit.elided_accesses trans;
   }
 

@@ -172,10 +172,10 @@ let inspect name show_code =
             (Vino_misfit.Rewrite.eliminated_sandboxes obj.Vino_vm.Asm.code);
           let tr = Vino_vm.Jit.translate image.Vino_misfit.Image.code in
           Printf.printf
-            "translation: %d basic blocks, %d fused superinstruction pairs, \
-             %d proven-safe accesses compiled bare\n"
+            "translation: %d basic blocks, %d instructions fused into \
+             superinstructions, %d proven-safe accesses compiled bare\n"
             (Vino_vm.Jit.block_count tr)
-            (Vino_vm.Jit.fused_pairs tr)
+            (Vino_vm.Jit.fused_insns tr)
             (Vino_vm.Jit.elided_accesses tr);
           Printf.printf "imports: %s\n"
             (match image.Vino_misfit.Image.relocs with
@@ -657,6 +657,11 @@ let serve tenants requests interval pause inflight cache reinstall shards path
       net_quota;
     }
   in
+  (match Serve.check cfg with
+  | Ok () -> ()
+  | Error e ->
+      Printf.eprintf "serve: %s\n" e;
+      exit 2);
   with_pool jobs (fun pool ->
       let r = Serve.run ?pool cfg in
       if json then print_string (serve_json r) else serve_print r)

@@ -235,7 +235,7 @@ let translation_stats t =
       ( (digest_hex sign
          ^ if phash = 0 then "" else "/p" ^ hex_int phash),
         Vino_vm.Jit.block_count c.tr,
-        Vino_vm.Jit.fused_pairs c.tr )
+        Vino_vm.Jit.fused_insns c.tr )
       :: acc)
     t.translations []
   |> List.sort compare

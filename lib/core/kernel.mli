@@ -114,11 +114,11 @@ val jit_cache_stats : t -> jit_cache_stats
     [jit.hits] / [jit.misses] / [jit.evictions] counters). *)
 
 val translation_stats : t -> (string * int * int) list
-(** Per-entry [(key, blocks, fused pairs)] of the translation cache, in a
-    stable sorted order so the listing is CI-diffable. The key renders the
-    code digest losslessly ([%016x] over the full 63-bit value — no
-    [max_int] masking, which aliased digests differing in the top bit)
-    and appends ["/p<hash>"] for proof-carrying entries. *)
+(** Per-entry [(key, blocks, fused instructions)] of the translation
+    cache, in a stable sorted order so the listing is CI-diffable. The
+    key renders the code digest losslessly ([%016x] over the full 63-bit
+    value — no [max_int] masking, which aliased digests differing in the
+    top bit) and appends ["/p<hash>"] for proof-carrying entries. *)
 
 val digest_hex : Vino_misfit.Sign.t -> string
 (** The lossless digest rendering used by {!translation_stats}. *)

@@ -492,14 +492,20 @@ let run_shard cfg shard =
     }
   end
 
+let check cfg =
+  if cfg.tenants < 1 then Error "tenants must be positive"
+  else if cfg.requests < 1 then Error "requests must be positive"
+  else if cfg.shards < 1 then Error "shards must be positive"
+  else
+    match cfg.runaway with
+    | Some i when i < 0 || i >= cfg.tenants ->
+        Error "runaway tenant out of range"
+    | _ -> Ok ()
+
 let run ?pool cfg =
-  if cfg.tenants < 1 then invalid_arg "Serve.run: tenants must be positive";
-  if cfg.requests < 1 then invalid_arg "Serve.run: requests must be positive";
-  if cfg.shards < 1 then invalid_arg "Serve.run: shards must be positive";
-  (match cfg.runaway with
-  | Some i when i < 0 || i >= cfg.tenants ->
-      invalid_arg "Serve.run: runaway tenant out of range"
-  | _ -> ());
+  (match check cfg with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Serve.run: " ^ e));
   let outs =
     Pool.map_scoped ?pool (run_shard cfg) (List.init cfg.shards Fun.id)
   in

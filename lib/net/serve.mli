@@ -101,11 +101,15 @@ val graft_source : tenant:int -> flood:bool -> Vino_vm.Asm.item list
     r2 = payload length; payload = [| stamp; tenant; request id; work
     count; ... |]. *)
 
+val check : config -> (unit, string) result
+(** [Error msg] when the config cannot run: a non-positive tenant,
+    request or shard count, or a runaway tenant index outside
+    [0, tenants). *)
+
 val run : ?pool:Vino_par.Pool.t -> config -> report
 (** Run the scenario. Deterministic: the report depends only on the
     config, never on [pool] (shards are merged in index order).
-    @raise Invalid_argument on a non-positive tenant/request/shard
-    count. *)
+    @raise Invalid_argument when {!check} rejects the config. *)
 
 val latencies : ?tenant:int -> report -> float list
 (** Served-request latencies in sample order, optionally restricted to

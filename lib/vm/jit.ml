@@ -35,13 +35,15 @@
    interpreter would expose.
 
    Careful path. When an entry condition fails (a poll point or the fuel
-   limit falls inside the tail), the driver executes one slow closure
-   with the interpreter's exact per-instruction semantics (and no
-   fusion), then tries the next pc's tail. Every pc has its own compiled
-   tail, so execution that resumes mid-block (the wrapper refuels and
-   re-enters at an arbitrary pc) stays on the fast path. The driver
-   re-checks fuel, poll and pc bounds in the interpreter's order before
-   every step. *)
+   limit falls inside the tail), the driver executes one instruction
+   through its one-instruction tail [k, k + 1), built by the same block
+   compiler, then tries the next pc's tail. That tail has flushed its
+   charge by the time it returns, so the next loop-head check meters
+   fuel and polls exactly where the interpreter does. Every pc has its
+   own compiled tail, so execution that resumes mid-block (the wrapper
+   refuels and re-enters at an arbitrary pc) stays on the fast path. The
+   driver re-checks fuel, poll and pc bounds in the interpreter's order
+   before every step. *)
 
 type mode = Interp | Translated
 
@@ -105,12 +107,17 @@ type t = {
      inline branch. *)
   exact_body : (ctx -> int) array array;
   exact_cost : int array array;
+  (* [slow.(pc)] is the one-instruction tail [pc, pc + 1). *)
   slow : (ctx -> int) array;
+  (* Every register number in [source] is in range, licensing the
+     unchecked register indexing in compiled bodies; {!run} interprets a
+     program that fails this scan. *)
+  regs_ok : bool;
 }
 
 let source t = t.source
 let block_count t = t.nblocks
-let fused_pairs t = t.fused
+let fused_insns t = t.fused
 let elided_accesses t = t.elided
 
 (* -------------------------------------------------------------------- *)
@@ -275,13 +282,12 @@ let confined_at prog ~safe_at ~stop pc : confined option =
    access at [pc] cannot fault: such a [Ld]/[St] is compiled like any
    other non-faulting straight-line instruction — no flush, no pc store —
    and its access count joins the pending accumulator. *)
-(* Fast bodies index the register file with compile-time register
+(* Compiled bodies index the register file with compile-time register
    numbers that [translate] validates up front (a program that fails
-   validation gets slow stubs only — see [regs_ok] there), and the
-   program array with indices guarded by [stop <= Array.length prog],
-   so indexing inside [compile_block] is unchecked: the [Array] shadow
-   is scoped to this submodule. The slow path and everything else keep
-   checked indexing. *)
+   validation is never run translated — see [regs_ok]), and the program
+   array with indices guarded by [stop <= Array.length prog], so
+   indexing inside [compile_block] is unchecked: the [Array] shadow is
+   scoped to this submodule. Everything else keeps checked indexing. *)
 module Fast_body = struct
   module Array = struct
     include Stdlib.Array
@@ -992,183 +998,6 @@ end
 let compile_block = Fast_body.compile_block
 
 (* -------------------------------------------------------------------- *)
-(* Careful path: one interpreter-exact closure per instruction           *)
-(* -------------------------------------------------------------------- *)
-
-(* The driver has already re-checked fuel/poll/bounds and stored [pc],
-   exactly as the interpreter's loop head does; each closure replicates
-   one loop iteration: charge, attribute, step. *)
-let compile_slow ~costs pc (i : Insn.t) : ctx -> int =
-  let cost = Costs.insn costs i in
-  let next = pc + 1 in
-  match i with
-  | Li (rd, v) ->
-      fun ctx ->
-        let t : Cpu.t = ctx.cpu in
-        t.insns <- t.insns + 1;
-        t.cycles <- t.cycles + cost;
-        t.regs.(rd) <- v;
-        next
-  | Mov (rd, rs) ->
-      fun ctx ->
-        let t : Cpu.t = ctx.cpu in
-        t.insns <- t.insns + 1;
-        t.cycles <- t.cycles + cost;
-        let r = t.regs in
-        r.(rd) <- r.(rs);
-        next
-  | Alu (op, rd, ra, rb) -> (
-      match opcode op with
-      | Some o ->
-          fun ctx ->
-            let t : Cpu.t = ctx.cpu in
-            t.insns <- t.insns + 1;
-            t.cycles <- t.cycles + cost;
-            let r = t.regs in
-            r.(rd) <- eval_opc o r.(ra) r.(rb);
-            next
-      | None ->
-          fun ctx ->
-            let t : Cpu.t = ctx.cpu in
-            t.insns <- t.insns + 1;
-            t.cycles <- t.cycles + cost;
-            let r = t.regs in
-            r.(rd) <- faulting_alu op r.(ra) r.(rb);
-            next)
-  | Alui (op, rd, ra, imm) -> (
-      match opcode op with
-      | Some o ->
-          fun ctx ->
-            let t : Cpu.t = ctx.cpu in
-            t.insns <- t.insns + 1;
-            t.cycles <- t.cycles + cost;
-            let r = t.regs in
-            r.(rd) <- eval_opc o r.(ra) imm;
-            next
-      | None ->
-          fun ctx ->
-            let t : Cpu.t = ctx.cpu in
-            t.insns <- t.insns + 1;
-            t.cycles <- t.cycles + cost;
-            let r = t.regs in
-            r.(rd) <- faulting_alu op r.(ra) imm;
-            next)
-  | Ld (rd, rb, off) ->
-      fun ctx ->
-        let t : Cpu.t = ctx.cpu in
-        t.insns <- t.insns + 1;
-        t.cycles <- t.cycles + cost;
-        t.accesses <- t.accesses + 1;
-        t.regs.(rd) <- Mem.load t.mem (t.regs.(rb) + off);
-        next
-  | St (rv, rb, off) ->
-      fun ctx ->
-        let t : Cpu.t = ctx.cpu in
-        t.insns <- t.insns + 1;
-        t.cycles <- t.cycles + cost;
-        t.accesses <- t.accesses + 1;
-        Mem.store t.mem (t.regs.(rb) + off) t.regs.(rv);
-        next
-  | Push rv ->
-      fun ctx ->
-        let t : Cpu.t = ctx.cpu in
-        t.insns <- t.insns + 1;
-        t.cycles <- t.cycles + cost;
-        t.accesses <- t.accesses + 1;
-        let r = t.regs in
-        r.(Insn.sp) <- r.(Insn.sp) - 1;
-        Mem.store t.mem r.(Insn.sp) r.(rv);
-        next
-  | Pop rd ->
-      fun ctx ->
-        let t : Cpu.t = ctx.cpu in
-        t.insns <- t.insns + 1;
-        t.cycles <- t.cycles + cost;
-        t.accesses <- t.accesses + 1;
-        let r = t.regs in
-        r.(rd) <- Mem.load t.mem r.(Insn.sp);
-        r.(Insn.sp) <- r.(Insn.sp) + 1;
-        next
-  | Sandbox rr ->
-      fun ctx ->
-        let t : Cpu.t = ctx.cpu in
-        t.insns <- t.insns + 1;
-        t.cycles <- t.cycles + cost;
-        t.sandbox_cy <- t.sandbox_cy + cost;
-        t.regs.(rr) <- Mem.sandbox t.seg t.regs.(rr);
-        next
-  | Checkcall rr ->
-      fun ctx ->
-        let t : Cpu.t = ctx.cpu in
-        t.insns <- t.insns + 1;
-        t.cycles <- t.cycles + cost;
-        t.checkcall_cy <- t.checkcall_cy + cost;
-        let id = t.regs.(rr) in
-        if ctx.env.call_ok id then next
-        else raise (Cpu.Fault_exn (Cpu.Bad_call_target id))
-  | Br (c, ra, rb, target) ->
-      let cmp = cond_fn c in
-      fun ctx ->
-        let t : Cpu.t = ctx.cpu in
-        t.insns <- t.insns + 1;
-        t.cycles <- t.cycles + cost;
-        if cmp t.regs.(ra) t.regs.(rb) then target else next
-  | Jmp target ->
-      fun ctx ->
-        let t : Cpu.t = ctx.cpu in
-        t.insns <- t.insns + 1;
-        t.cycles <- t.cycles + cost;
-        target
-  | Call target ->
-      fun ctx ->
-        let t : Cpu.t = ctx.cpu in
-        t.insns <- t.insns + 1;
-        t.cycles <- t.cycles + cost;
-        Cpu.push_call t next;
-        target
-  | Callr rr ->
-      fun ctx ->
-        let t : Cpu.t = ctx.cpu in
-        t.insns <- t.insns + 1;
-        t.cycles <- t.cycles + cost;
-        Cpu.push_call t next;
-        t.regs.(rr)
-  | Ret ->
-      fun ctx ->
-        let t : Cpu.t = ctx.cpu in
-        t.insns <- t.insns + 1;
-        t.cycles <- t.cycles + cost;
-        if t.depth = 0 then finish ctx Cpu.Halted
-        else begin
-          t.depth <- t.depth - 1;
-          t.callstack.(t.depth)
-        end
-  | Kcall id ->
-      fun ctx ->
-        let t : Cpu.t = ctx.cpu in
-        t.insns <- t.insns + 1;
-        t.cycles <- t.cycles + cost;
-        (match ctx.env.kcall id t with
-        | Cpu.K_ok -> next
-        | Cpu.K_abort reason -> finish ctx (Cpu.Aborted reason)
-        | Cpu.K_fault f -> finish ctx (Cpu.Faulted f))
-  | Kcallr rr ->
-      fun ctx ->
-        let t : Cpu.t = ctx.cpu in
-        t.insns <- t.insns + 1;
-        t.cycles <- t.cycles + cost;
-        (match ctx.env.kcall t.regs.(rr) t with
-        | Cpu.K_ok -> next
-        | Cpu.K_abort reason -> finish ctx (Cpu.Aborted reason)
-        | Cpu.K_fault f -> finish ctx (Cpu.Faulted f))
-  | Halt ->
-      fun ctx ->
-        let t : Cpu.t = ctx.cpu in
-        t.insns <- t.insns + 1;
-        t.cycles <- t.cycles + cost;
-        finish ctx Cpu.Halted
-
-(* -------------------------------------------------------------------- *)
 (* Translation                                                           *)
 (* -------------------------------------------------------------------- *)
 
@@ -1184,11 +1013,8 @@ let translate ?(costs = Costs.default) ?safe prog =
     | Some m when Array.length m = n -> fun pc -> Array.unsafe_get m pc
     | Some _ | None -> fun _ -> false
   in
-  (* Unchecked register indexing in fast bodies is licensed by this scan;
-     a program with an out-of-range register number (impossible through
-     the assembler, but [translate] is a public API) runs entirely on
-     slow stubs, whose checked accesses raise exactly what the
-     interpreter would. *)
+  (* An out-of-range register number is impossible through the
+     assembler, but [translate] is a public API. *)
   let regs_ok =
     Array.for_all
       (fun i ->
@@ -1221,8 +1047,14 @@ let translate ?(costs = Costs.default) ?safe prog =
   in
   let fused = ref 0 in
   let elided = ref 0 in
+  (* Fusion counts are kept for block-head tails only. *)
+  let scrap = ref 0 in
   let nblocks = ref 0 in
-  let slow = Array.mapi (fun k i -> compile_slow ~costs k i) prog in
+  let slow =
+    Array.init n (fun k ->
+        compile_block ~costs ~safe_at prog ~start:k ~stop:(k + 1)
+          ~fused:scrap ~elided:scrap)
+  in
   let body_of_pc = Array.make n (fun ctx -> finish ctx Cpu.Halted) in
   let cost_of_pc = Array.make n 0 in
   let len_of_pc = Array.make n 0 in
@@ -1247,30 +1079,14 @@ let translate ?(costs = Costs.default) ?safe prog =
       incr j
     done;
     let bstop = !j + 1 in
-    let scrap = ref 0 in
     for k = start to bstop - 1 do
-      if regs_ok then begin
-        let stop = min bstop (k + window) in
-        let f = if k = start then fused else scrap in
-        let e = if k = start then elided else scrap in
-        body_of_pc.(k) <-
-          compile_block ~costs ~safe_at prog ~start:k ~stop ~fused:f
-            ~elided:e;
-        len_of_pc.(k) <- stop - k;
-        cost_of_pc.(k) <- sum_cost k stop
-      end
-      else begin
-        (* Slow closures expect [cpu.pc] to be current (the slow driver
-           branch stores it); the fast branch does not, so do it here. *)
-        let s = slow.(k) in
-        (body_of_pc.(k) <-
-           fun ctx ->
-             let t : Cpu.t = ctx.cpu in
-             t.pc <- k;
-             s ctx);
-        len_of_pc.(k) <- 1;
-        cost_of_pc.(k) <- Costs.insn costs prog.(k)
-      end
+      let stop = min bstop (k + window) in
+      let f = if k = start then fused else scrap in
+      let e = if k = start then elided else scrap in
+      body_of_pc.(k) <-
+        compile_block ~costs ~safe_at prog ~start:k ~stop ~fused:f ~elided:e;
+      len_of_pc.(k) <- stop - k;
+      cost_of_pc.(k) <- sum_cost k stop
     done;
     incr nblocks;
     pc := bstop
@@ -1291,7 +1107,6 @@ let translate ?(costs = Costs.default) ?safe prog =
      within a single block). [extra_back] extends an early exit's
      not-run count over the chained copies, keeping the driver's poll
      arithmetic exact. *)
-  let scrap = ref 0 in
   for h = 0 to n - 1 do
     let flen = len_of_pc.(h) in
     let stop = h + flen in
@@ -1349,6 +1164,7 @@ let translate ?(costs = Costs.default) ?safe prog =
     exact_body;
     exact_cost;
     slow;
+    regs_ok;
   }
 
 (* -------------------------------------------------------------------- *)
@@ -1372,12 +1188,12 @@ let seg_confined (cpu : Cpu.t) =
 (* One iteration per control transfer, replicating the interpreter's
    loop-head checks in its exact order: fuel, poll, pc bounds. [cpu.pc]
    is written only where it is observable — on every exit and before
-   each slow step (fast bodies store it themselves ahead of anything
-   that can fault or call out). Any in-range pc has a fast tail, so
-   resuming mid-block (after a poll reset or a refueled slice) stays on
-   the fast path; the bounds check above makes the unsafe array reads
-   safe. Top-level functions rather than closures so entering costs no
-   allocation. *)
+   each careful step (compiled bodies store it themselves ahead of
+   anything that can fault or call out). Any in-range pc has a fast
+   tail, so resuming mid-block (after a poll reset or a refueled slice)
+   stays on the fast path; the bounds check above makes the unsafe array
+   reads safe. Top-level functions rather than closures so entering
+   costs no allocation. *)
 let rec drive t ctx len poll_every pc since_poll =
   let cpu = ctx.cpu in
   if cpu.Cpu.cycles > cpu.fuel then begin
@@ -1488,7 +1304,7 @@ let run ?(poll_every = Cpu.default_poll_every) env (cpu : Cpu.t) t =
   (* Checked mode is the interpreted-extension measurement model: its
      per-access check cost is the interpretation price, so it must keep
      being interpreted. *)
-  if cpu.checked || not (seg_confined cpu) then
+  if cpu.checked || (not t.regs_ok) || not (seg_confined cpu) then
     Cpu.run ~poll_every env cpu t.source
   else begin
     let pool = Domain.DLS.get ctx_pool_key in

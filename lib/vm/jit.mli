@@ -17,9 +17,9 @@
     an arbitrary program counter) and abort-poll delivery within
     [poll_every] instructions. A block executes on the fast path only when
     its statically-known cost provably cannot cross the fuel limit or a
-    poll point; otherwise execution falls back to per-instruction slow
-    closures with interpreter-exact semantics. See DESIGN.md §11 for the
-    equivalence argument. *)
+    poll point; otherwise execution advances one instruction at a time
+    through one-instruction tails built by the same compiler. See
+    DESIGN.md §11 for the equivalence argument. *)
 
 type t
 (** A translated program. Immutable; safe to reuse across invocations and
@@ -54,12 +54,15 @@ val run : ?poll_every:int -> Cpu.env -> Cpu.t -> t -> Cpu.outcome
 (** Drop-in replacement for [Cpu.run env cpu (source t)]; [poll_every]
     defaults to {!Cpu.default_poll_every}. Starts from the
     cpu's current [pc] (0 on a fresh cpu; wherever the previous slice
-    stopped after a refuel). Checked-mode cpus fall back to the
-    interpreter: per-access bounds checking is the interpretation model
-    the paper compares against, so translating it away would be
-    measurement fraud. A cpu whose segment is malformed or not contained
-    in its memory also falls back (the sandboxed-access
-    superinstructions assume confinement; see DESIGN.md §11).
+    stopped after a refuel). Three cases run on {!Cpu.run} instead:
+    - a checked-mode cpu: per-access bounds checking is the
+      interpretation model the paper compares against, so translating it
+      away would be measurement fraud;
+    - a cpu whose segment is malformed or not contained in its memory
+      (the sandboxed-access superinstructions assume confinement; see
+      DESIGN.md §11);
+    - a program naming a register outside [0, Insn.num_regs) (compiled
+      bodies index the register file unchecked).
 
     Allocation-free in steady state on the translated path: the driver
     context is recycled through a per-domain pool, so a translated
@@ -72,7 +75,11 @@ val source : t -> Insn.t array
 (* Translation statistics, for [vino inspect]. *)
 
 val block_count : t -> int
-val fused_pairs : t -> int
+
+val fused_insns : t -> int
+(** Instructions absorbed into a preceding superinstruction: a fused
+    group of [n] instructions counts [n - 1]. Counted over each basic
+    block's head tail. *)
 
 val elided_accesses : t -> int
 (** Accesses compiled bare (non-flushing) under a proof map. *)

@@ -116,18 +116,24 @@ let test_cache_churn () =
   let no_churn = Serve.run { small with Serve.reinstall_every = 0 } in
   Alcotest.(check int) "no churn, no cache hits" 0 no_churn.Serve.jit_hits
 
+(* [Serve.check] names what is wrong (the CLI prints it and exits 2);
+   [Serve.run] raises on the same configs. *)
 let test_config_validation () =
+  let runaway i = { small with Serve.runaway = Some i } in
+  Alcotest.(check (result unit string)) "valid config" (Ok ())
+    (Serve.check small);
   List.iter
-    (fun cfg ->
+    (fun (cfg, msg) ->
+      Alcotest.(check (result unit string)) msg (Error msg) (Serve.check cfg);
       match Serve.run cfg with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "invalid config accepted")
     [
-      { small with Serve.tenants = 0 };
-      { small with Serve.requests = 0 };
-      { small with Serve.shards = 0 };
-      { small with Serve.runaway = Some 4 };
-      { small with Serve.runaway = Some (-1) };
+      ({ small with Serve.tenants = 0 }, "tenants must be positive");
+      ({ small with Serve.requests = 0 }, "requests must be positive");
+      ({ small with Serve.shards = 0 }, "shards must be positive");
+      (runaway 4, "runaway tenant out of range");
+      (runaway (-1), "runaway tenant out of range");
     ]
 
 let suite =
