@@ -496,6 +496,13 @@ let check cfg =
   if cfg.tenants < 1 then Error "tenants must be positive"
   else if cfg.requests < 1 then Error "requests must be positive"
   else if cfg.shards < 1 then Error "shards must be positive"
+  else if cfg.interval < 0 then Error "interval must be non-negative"
+  else if cfg.pause < 0 then Error "pause must be non-negative"
+  else if cfg.max_inflight < 0 then Error "inflight cap must be non-negative"
+  else if cfg.jit_cache_cap < 1 then Error "cache capacity must be positive"
+  else if cfg.reinstall_every < 0 then
+    Error "reinstall period must be non-negative"
+  else if cfg.net_quota < 0 then Error "net quota must be non-negative"
   else
     match cfg.runaway with
     | Some i when i < 0 || i >= cfg.tenants ->

@@ -103,8 +103,9 @@ val graft_source : tenant:int -> flood:bool -> Vino_vm.Asm.item list
 
 val check : config -> (unit, string) result
 (** [Error msg] when the config cannot run: a non-positive tenant,
-    request or shard count, or a runaway tenant index outside
-    [0, tenants). *)
+    request or shard count, a negative interval, pause, in-flight cap,
+    reinstall period or net quota, a cache capacity below 1, or a
+    runaway tenant index outside [0, tenants). *)
 
 val run : ?pool:Vino_par.Pool.t -> config -> report
 (** Run the scenario. Deterministic: the report depends only on the

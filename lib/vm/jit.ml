@@ -14,7 +14,8 @@
      optional ALU op, a MiSFIT-confined or proof-elided [Ld]/[St], an
      optional ALU op, and a block-final [Jmp]) and a whole transform-loop
      pass (guard [Br], two access groups, loop-closing [Jmp]); a
-     straight-line self-loop is also unrolled to fill a poll window;
+     straight-line self-loop is also unrolled to fill a poll window,
+     each window size compiled on its first dispatch;
    - the fuel and abort-poll checks run once per block, not once per
      instruction.
 
@@ -104,7 +105,9 @@ type t = {
      under-fuelled window takes the careful path, which meters fuel per
      instruction). A zero-length array marks a non-loop pc; an early
      exit reports its not-run remainder through [ctx.back] like any
-     inline branch. *)
+     inline branch. Each chain is compiled on its first dispatch: the
+     slot starts as a stub that compiles the chain, stores it in place
+     of itself and runs it. *)
   exact_body : (ctx -> int) array array;
   exact_cost : int array array;
   (* [slow.(pc)] is the one-instruction tail [pc, pc + 1). *)
@@ -1094,7 +1097,8 @@ let translate ?(costs = Costs.default) ?safe prog =
   (* Unrolled self-loops, second pass (every tail is compiled by now). A
      head [h] whose full tail ends with [Jmp h] is a straight-line loop
      body. Every pc inside the loop gets one closure chain per possible
-     remaining-window size, consuming exactly that many instructions:
+     remaining-window size (compiled when first dispatched), consuming
+     exactly that many instructions:
      the rest of the current pass, whole copies of the body, and a
      prefix of the last pass cut at the window boundary — so a dispatch
      from any loop phase consumes its entire poll window in one hop.
@@ -1140,7 +1144,15 @@ let translate ?(costs = Costs.default) ?safe prog =
         let xb = Array.make (window + 1) body_of_pc.(k) in
         let xc = Array.make (window + 1) 0 in
         for room = 1 to window do
-          xb.(room) <- unroll k room (0, 0, 0, 0);
+          (* Compiled on first dispatch: a run reaches only a few of the
+             [window] chains per loop pc. Domains racing on one slot each
+             compile an equivalent chain; the plain write publishes
+             either, so dispatch needs no lock. *)
+          xb.(room) <-
+            (fun ctx ->
+              let f = unroll k room (0, 0, 0, 0) in
+              xb.(room) <- f;
+              f ctx);
           xc.(room) <-
             (if room < p then sum_cost k (k + room)
              else

@@ -22,8 +22,10 @@
     DESIGN.md §11 for the equivalence argument. *)
 
 type t
-(** A translated program. Immutable; safe to reuse across invocations and
-    to cache per kernel keyed by graft signature. *)
+(** A translated program. Observably immutable (loop chains compiled on
+    first dispatch replace their stubs in place); safe to reuse across
+    invocations and domains, and to cache per kernel keyed by graft
+    signature. *)
 
 type mode = Interp | Translated
 
@@ -36,7 +38,11 @@ val translate : ?costs:Costs.t -> ?safe:bool array -> Insn.t array -> t
     the table the executing {!Cpu.t} was created with, or cycle accounting
     diverges from the interpreter. Every pc gets a compiled tail running
     to the end of its basic block or for {!Cpu.default_poll_every}
-    instructions, whichever is shorter.
+    instructions, whichever is shorter. A straight-line self-loop's
+    unrolled chains, one per loop pc and remaining poll window, are
+    compiled on their first dispatch instead, so a run pays only for the
+    chains it reaches; a translation shared across domains stays safe to
+    run concurrently (see DESIGN.md §11).
 
     [safe] is a per-pc proof map (one entry per instruction): [true] at a
     [Ld]/[St] asserts a static verifier proved the access in-segment for
@@ -64,8 +70,9 @@ val run : ?poll_every:int -> Cpu.env -> Cpu.t -> t -> Cpu.outcome
     - a program naming a register outside [0, Insn.num_regs) (compiled
       bodies index the register file unchecked).
 
-    Allocation-free in steady state on the translated path: the driver
-    context is recycled through a per-domain pool, so a translated
+    Allocation-free in steady state on the translated path (once the
+    loop chains a run reaches are compiled): the driver context is
+    recycled through a per-domain pool, so a translated
     invocation that neither faults nor aborts performs zero minor-heap
     allocations (the [bench/wall.ml --check] allocation gate). *)
 

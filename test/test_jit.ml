@@ -522,6 +522,50 @@ let test_fixed_workloads () =
   Alcotest.(check (list string)) "proof maps carry safe accesses"
     [ "crypt-verified"; "serve-ra-verified" ] proved
 
+(* Exact-window loop chains are compiled on first dispatch and stored
+   into the translation with a plain array write, so domains sharing one
+   translation race to fill the same slots. Each program is translated
+   once and run from a domain pool, every config queued once per domain
+   so neighbouring runs (same poll interval, same slots) overlap; every
+   run, each on its own cpu and memory, must match the interpreter:
+   outcome, counters, pc, registers and memory. *)
+let test_shared_translation () =
+  let ws = fixed_workloads () in
+  let domains = max 4 test_domains in
+  let pool = Vino_par.Pool.create ~domains () in
+  Fun.protect
+    ~finally:(fun () -> Vino_par.Pool.shutdown pool)
+    (fun () ->
+      List.iter
+        (fun name ->
+          let _, code, safe, (init_regs, init_mem) =
+            List.find (fun (n, _, _, _) -> n = name) ws
+          in
+          let trans = Jit.translate ?safe code in
+          let jobs =
+            List.concat_map (fun cfg -> List.init domains (fun _ -> cfg))
+              fixed_configs
+          in
+          let runs =
+            Vino_par.Pool.map ~pool
+              (fun cfg ->
+                let poll_every = cfg.poll_every in
+                ( run_mode ~init_regs ~init_mem cfg
+                    (fun env cpu code () ->
+                      interp_step env cpu code ~poll_every ())
+                    code,
+                  run_mode ~init_regs ~init_mem cfg
+                    (fun env cpu code () ->
+                      trans_step trans env cpu code ~poll_every ())
+                    code ))
+              jobs
+          in
+          List.iter2
+            (fun cfg (a, b) ->
+              Alcotest.(check string) (name ^ " " ^ cfg.cname) a b)
+            jobs runs)
+        [ "crypt"; "serve-ra" ])
+
 (* ------------------------------------------------------------------ *)
 (* Edge cases                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -759,6 +803,8 @@ let suite =
         Alcotest.test_case
           "paper grafts, serve handlers, long blocks at poll 1-33" `Quick
           test_fixed_workloads;
+        Alcotest.test_case "one translation shared by a domain pool" `Quick
+          test_shared_translation;
         Alcotest.test_case "empty program" `Quick test_empty_program;
         Alcotest.test_case "checked-mode fallback" `Quick
           test_checked_fallback;

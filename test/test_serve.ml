@@ -122,6 +122,19 @@ let test_config_validation () =
   let runaway i = { small with Serve.runaway = Some i } in
   Alcotest.(check (result unit string)) "valid config" (Ok ())
     (Serve.check small);
+  (* zero stays a valid cap, period, quota or spacing; only negatives
+     are rejected *)
+  Alcotest.(check (result unit string)) "zero caps, periods and quota"
+    (Ok ())
+    (Serve.check
+       {
+         small with
+         Serve.max_inflight = 0;
+         reinstall_every = 0;
+         net_quota = 0;
+         interval = 0;
+         pause = 0;
+       });
   List.iter
     (fun (cfg, msg) ->
       Alcotest.(check (result unit string)) msg (Error msg) (Serve.check cfg);
@@ -132,6 +145,15 @@ let test_config_validation () =
       ({ small with Serve.tenants = 0 }, "tenants must be positive");
       ({ small with Serve.requests = 0 }, "requests must be positive");
       ({ small with Serve.shards = 0 }, "shards must be positive");
+      ({ small with Serve.interval = -1 }, "interval must be non-negative");
+      ({ small with Serve.pause = -1 }, "pause must be non-negative");
+      ( { small with Serve.max_inflight = -1 },
+        "inflight cap must be non-negative" );
+      ( { small with Serve.jit_cache_cap = 0 },
+        "cache capacity must be positive" );
+      ( { small with Serve.reinstall_every = -1 },
+        "reinstall period must be non-negative" );
+      ({ small with Serve.net_quota = -1 }, "net quota must be non-negative");
       (runaway 4, "runaway tenant out of range");
       (runaway (-1), "runaway tenant out of range");
     ]
