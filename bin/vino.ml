@@ -490,41 +490,6 @@ let all_tables =
 
 (* ------------------------------ disaster ------------------------------ *)
 
-(* Hand-rolled, field-ordered JSON: the snapshot-determinism CI job diffs
-   forked (-j 1 and -j 4) and fresh campaign reports byte-for-byte, so the
-   encoding must be a pure function of the report — in particular it must
-   not mention whether trials were forked. *)
-let disaster_json (r : Vino_disaster.Campaign.report) =
-  let module C = Vino_disaster.Campaign in
-  let b = Buffer.create 4096 in
-  let f fmt = Printf.bprintf b fmt in
-  f "{\n";
-  f "  \"seed\": %d,\n" r.C.seed;
-  f "  \"count\": %d,\n" r.C.count;
-  f "  \"records\": [";
-  List.iteri
-    (fun k (rc : C.record) ->
-      if k > 0 then f ",";
-      f "\n    {\"index\": %d, \"family\": %S, \"kind\": %S, \"note\": %S, "
-        rc.C.index
-        (Vino_disaster.Site.family_name rc.C.family)
-        (Vino_disaster.Injector.name rc.C.kind)
-        rc.C.note;
-      f "\"expect\": %S, \"observed\": %S, \"vtime\": %d, "
-        (Vino_disaster.Injector.expectation_name rc.C.expect)
-        (Vino_disaster.Injector.expectation_name rc.C.observed)
-        rc.C.vtime;
-      f "\"fingerprint\": %S, \"violations\": [" rc.C.fingerprint;
-      List.iteri
-        (fun j v ->
-          if j > 0 then f ", ";
-          f "%S" v)
-        rc.C.violations;
-      f "]}")
-    r.C.records;
-  f "\n  ]\n}\n";
-  Buffer.contents b
-
 let disaster seed count costs jobs mode fork recheck strategy json =
   set_mode mode;
   let strategy =
@@ -540,7 +505,9 @@ let disaster seed count costs jobs mode fork recheck strategy json =
         Vino_disaster.Campaign.run ?pool ~fork ~recheck_every:recheck
           ~strategy ~seed ~count ()
       in
-      if json then print_string (disaster_json report)
+      if json then
+        print_string
+          (Vino_trace.Json.to_string (Vino_disaster.Campaign.to_json report))
       else Format.printf "%a@." Vino_disaster.Campaign.pp report;
       if costs then
         Vino_measure.Table.print
@@ -558,61 +525,6 @@ let disaster seed count costs jobs mode fork recheck strategy json =
 
 module Serve = Vino_net.Serve
 
-(* Hand-rolled, field-ordered JSON: the serve-determinism CI job diffs
-   two of these byte-for-byte (-j 1 vs -j 4), so the encoding must not
-   depend on anything but the report. *)
-let serve_json r =
-  let cfg = r.Serve.config in
-  let b = Buffer.create 4096 in
-  let f fmt = Printf.bprintf b fmt in
-  f "{\n";
-  f
-    "  \"config\": {\"tenants\": %d, \"requests\": %d, \"interval\": %d, \
-     \"pause\": %d, \"max_inflight\": %d, \"jit_cache_cap\": %d, \
-     \"reinstall_every\": %d, \"shards\": %d, \"path\": %S, \"seed\": %d, \
-     \"runaway\": %s, \"net_quota\": %d},\n"
-    cfg.Serve.tenants cfg.Serve.requests cfg.Serve.interval cfg.Serve.pause
-    cfg.Serve.max_inflight cfg.Serve.jit_cache_cap cfg.Serve.reinstall_every
-    cfg.Serve.shards
-    (Serve.path_name cfg.Serve.path)
-    cfg.Serve.seed
-    (match cfg.Serve.runaway with
-    | None -> "null"
-    | Some i -> string_of_int i)
-    cfg.Serve.net_quota;
-  f "  \"served\": %d,\n" r.Serve.served;
-  f "  \"rejected\": %d,\n" r.Serve.rejected;
-  f "  \"admission_audited\": %d,\n" r.Serve.admission_audited;
-  f "  \"handler_failures\": %d,\n" r.Serve.handler_failures;
-  f "  \"transmitted\": %d,\n" r.Serve.transmitted;
-  f "  \"quota_denials\": %d,\n" r.Serve.quota_denials;
-  f "  \"jit\": {\"hits\": %d, \"misses\": %d, \"evictions\": %d},\n"
-    r.Serve.jit_hits r.Serve.jit_misses r.Serve.jit_evictions;
-  f "  \"drain_us\": %.6f,\n" r.Serve.drain_us;
-  f "  \"throughput_rps\": %.6f,\n" r.Serve.throughput_rps;
-  let st = Vino_sim.Stats.create () in
-  List.iter (Vino_sim.Stats.add st) (Serve.latencies r);
-  f "  \"latency_us\": {\"p50\": %.6f, \"p99\": %.6f, \"p999\": %.6f},\n"
-    (Vino_sim.Stats.percentile st 50.)
-    (Vino_sim.Stats.percentile st 99.)
-    (Vino_sim.Stats.percentile st 99.9);
-  f "  \"per_tenant\": [";
-  List.iteri
-    (fun k (t, fam, served, rejected) ->
-      if k > 0 then f ", ";
-      f "{\"tenant\": %d, \"family\": %S, \"served\": %d, \"rejected\": %d}" t
-        fam served rejected)
-    r.Serve.per_tenant;
-  f "],\n";
-  f "  \"samples\": [";
-  List.iteri
-    (fun k (t, req, lat) ->
-      if k > 0 then f ", ";
-      f "[%d, %d, %.6f]" t req lat)
-    r.Serve.samples;
-  f "]\n}\n";
-  Buffer.contents b
-
 let serve_print r =
   let cfg = r.Serve.config in
   Printf.printf "serve: %d tenants x %d requests on %d shards (%s path)\n"
@@ -625,14 +537,11 @@ let serve_print r =
     r.Serve.quota_denials;
   Printf.printf "  jit cache: %d hits, %d misses, %d evictions\n"
     r.Serve.jit_hits r.Serve.jit_misses r.Serve.jit_evictions;
-  let st = Vino_sim.Stats.create () in
-  List.iter (Vino_sim.Stats.add st) (Serve.latencies r);
   Printf.printf "  makespan %.2f us, throughput %.1f req/s\n" r.Serve.drain_us
     r.Serve.throughput_rps;
-  Printf.printf "  latency p50 %.2f us, p99 %.2f us, p999 %.2f us\n"
-    (Vino_sim.Stats.percentile st 50.)
-    (Vino_sim.Stats.percentile st 99.)
-    (Vino_sim.Stats.percentile st 99.9);
+  let p50, p99, p999 = Serve.latency_percentiles r in
+  Printf.printf "  latency p50 %.2f us, p99 %.2f us, p999 %.2f us\n" p50 p99
+    p999;
   Printf.printf "  %-8s %-6s %8s %9s\n" "tenant" "family" "served" "rejected";
   List.iter
     (fun (t, fam, served, rejected) ->
@@ -664,7 +573,8 @@ let serve tenants requests interval pause inflight cache reinstall shards path
       exit 2);
   with_pool jobs (fun pool ->
       let r = Serve.run ?pool cfg in
-      if json then print_string (serve_json r) else serve_print r)
+      if json then print_string (Vino_trace.Json.to_string (Serve.to_json r))
+      else serve_print r)
 
 (* -------------------------------- trace ------------------------------- *)
 

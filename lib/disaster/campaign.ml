@@ -220,3 +220,26 @@ let pp ppf report =
   | vs ->
       fprintf ppf "  INVARIANT VIOLATIONS (%d):@," (List.length vs);
       List.iter (fun v -> fprintf ppf "    %s@," v) vs
+
+let to_json report =
+  let open Vino_trace.Json in
+  let record r =
+    Obj
+      [
+        ("index", Int r.index);
+        ("family", String (Site.family_name r.family));
+        ("kind", String (Injector.name r.kind));
+        ("note", String r.note);
+        ("expect", String (Injector.expectation_name r.expect));
+        ("observed", String (Injector.expectation_name r.observed));
+        ("vtime", Int r.vtime);
+        ("fingerprint", String r.fingerprint);
+        ("violations", List (List.map (fun v -> String v) r.violations));
+      ]
+  in
+  Obj
+    [
+      ("seed", Int report.seed);
+      ("count", Int report.count);
+      ("records", List (List.map record report.records));
+    ]

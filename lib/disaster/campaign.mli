@@ -76,3 +76,10 @@ val violations : report -> string list
 val families_covered : report -> int
 val injectors_covered : report -> int
 val pp : Format.formatter -> report -> unit
+
+val to_json : report -> Vino_trace.Json.t
+(** [seed], [count] and one object per record, fields in declaration
+    order with names as {!Site.family_name}, {!Injector.name} and
+    {!Injector.expectation_name} print them. A pure function of the
+    report that never mentions whether trials were forked: forked [-j 1],
+    forked [-j 4] and fresh campaigns encode to the same bytes. *)

@@ -68,3 +68,26 @@ let run_exn t ?setup ~commit () =
   match run t ?setup ~commit () with
   | Committed | Rolled_back -> ()
   | Failed reason -> failwith ("Rig.run_exn: " ^ reason)
+
+let time_abort t ?iterations ?indirection ?check_cost ?(before = fun _ -> ())
+    ~setup () =
+  let engine = t.kernel.Kernel.engine in
+  let aborts = Vino_sim.Stats.create () in
+  let (_ : Vino_sim.Stats.t) =
+    Probe.samples t.kernel ?iterations (fun k ->
+        before k;
+        (* the check hook runs at the decision point: time from there *)
+        let decided = ref 0 in
+        let check _ =
+          decided := Engine.now engine;
+          true
+        in
+        (match
+           run t ?indirection ?check_cost ~setup ~check ~commit:false ()
+         with
+        | Rolled_back -> ()
+        | Committed | Failed _ -> failwith "expected rollback");
+        Vino_sim.Stats.add aborts
+          (Vino_vm.Costs.us_of_cycles (Engine.now engine - !decided)))
+  in
+  Vino_sim.Stats.trimmed_mean aborts

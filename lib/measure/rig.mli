@@ -39,3 +39,19 @@ val run :
 val run_exn : t -> ?setup:(Vino_vm.Cpu.t -> unit) -> commit:bool -> unit -> unit
 (** Like {!run} but raises [Failure] unless the invocation reached its
     commit/abort decision. *)
+
+val time_abort :
+  t ->
+  ?iterations:int ->
+  ?indirection:int ->
+  ?check_cost:int ->
+  ?before:(int -> unit) ->
+  setup:(Vino_vm.Cpu.t -> unit) ->
+  unit ->
+  float
+(** Table 7's abort cost: {!Probe.samples} [iterations] deliberately
+    aborted {!run}s (passing [indirection], [check_cost] and [setup]),
+    timing each from its validation check to the end of the rollback,
+    and return the trimmed mean in microseconds. [before k] runs ahead
+    of iteration [k] (warmup included).
+    @raise Failure unless every invocation rolls back. *)

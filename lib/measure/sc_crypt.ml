@@ -100,30 +100,12 @@ let stats ?(iterations = 300) path =
 let measure ?iterations path =
   Vino_sim.Stats.trimmed_mean (stats ?iterations path)
 
-let measure_abort ?(iterations = 300) ~full () =
+let measure_abort ?iterations ~full () =
   let fx = fixture () in
   let path = if full then Path.Abort else Path.Null in
   let rig = Rig.load fx.kernel ~words:segment_words (graft_image fx path) in
-  let engine = fx.kernel.Kernel.engine in
-  let abort_stats = Vino_sim.Stats.create () in
-  let (_ : Vino_sim.Stats.t) =
-    Probe.samples fx.kernel ~iterations (fun _ ->
-        let before = ref 0 in
-        let check cpu =
-          before := Engine.now engine;
-          ignore (Cpu.cycles cpu);
-          true
-        in
-        (match
-           Rig.run rig ~indirection:0 ~check_cost:0 ~setup:(setup fx) ~check
-             ~commit:false ()
-         with
-        | Rig.Rolled_back -> ()
-        | Rig.Committed | Rig.Failed _ -> failwith "expected rollback");
-        Vino_sim.Stats.add abort_stats
-          (Vino_vm.Costs.us_of_cycles (Engine.now engine - !before)))
-  in
-  Vino_sim.Stats.trimmed_mean abort_stats
+  Rig.time_abort rig ?iterations ~indirection:0 ~check_cost:0
+    ~setup:(setup fx) ()
 
 let paper_elapsed =
   [

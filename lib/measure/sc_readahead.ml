@@ -117,29 +117,12 @@ let measure ?iterations path =
   Vino_sim.Stats.trimmed_mean (stats ?iterations path)
 
 (* Table 7's null-abort column: abort at the end of the *null* graft. *)
-let measure_abort ?(iterations = 300) ~full () =
+let measure_abort ?iterations ~full () =
   let fx = fixture () in
   let rig = rig_for fx (if full then Path.Abort else Path.Null) in
-  let engine = fx.kernel.Kernel.engine in
-  let abort_stats = Vino_sim.Stats.create () in
-  let s =
-    Probe.samples fx.kernel ~iterations (fun k ->
-        announce rig ((k * 577) mod file_blocks);
-        (* time just the abort: run to the decision point, then sample *)
-        let before = ref 0 in
-        let check cpu =
-          before := Vino_sim.Engine.now engine;
-          ignore (Vino_vm.Cpu.cycles cpu);
-          true
-        in
-        (match Rig.run rig ~setup:setup_regs ~check ~commit:false () with
-        | Rig.Rolled_back -> ()
-        | Rig.Committed | Rig.Failed _ -> failwith "expected rollback");
-        Vino_sim.Stats.add abort_stats
-          (Vino_vm.Costs.us_of_cycles (Vino_sim.Engine.now engine - !before)))
-  in
-  ignore (s : Vino_sim.Stats.t);
-  Vino_sim.Stats.trimmed_mean abort_stats
+  Rig.time_abort rig ?iterations
+    ~before:(fun k -> announce rig ((k * 577) mod file_blocks))
+    ~setup:setup_regs ()
 
 let paper_elapsed =
   [

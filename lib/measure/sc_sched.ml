@@ -123,32 +123,13 @@ let stats ?(iterations = 300) path =
 let measure ?iterations path =
   Vino_sim.Stats.trimmed_mean (stats ?iterations path)
 
-let measure_abort ?(iterations = 300) ~full () =
+let measure_abort ?iterations ~full () =
   let fx = fixture ~graft_support:false () in
   let path = if full then Path.Abort else Path.Null in
   let rig = Rig.load fx.kernel ~words:segment_words (graft_image fx path) in
   prepare_rig_memory fx rig;
   let self = Runq.task_id (List.hd fx.tasks) in
-  let engine = fx.kernel.Kernel.engine in
-  let abort_stats = Vino_sim.Stats.create () in
-  let (_ : Vino_sim.Stats.t) =
-    Probe.samples fx.kernel ~iterations (fun _ ->
-        let before = ref 0 in
-        let check cpu =
-          before := Engine.now engine;
-          ignore (Cpu.cycles cpu);
-          true
-        in
-        (match
-           Rig.run rig ~check_cost ~setup:(setup_regs ~self) ~check
-             ~commit:false ()
-         with
-        | Rig.Rolled_back -> ()
-        | Rig.Committed | Rig.Failed _ -> failwith "expected rollback");
-        Vino_sim.Stats.add abort_stats
-          (Vino_vm.Costs.us_of_cycles (Engine.now engine - !before)))
-  in
-  Vino_sim.Stats.trimmed_mean abort_stats
+  Rig.time_abort rig ?iterations ~check_cost ~setup:(setup_regs ~self) ()
 
 let paper_elapsed =
   [

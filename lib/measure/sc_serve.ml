@@ -1,5 +1,4 @@
 module Serve = Vino_net.Serve
-module Stats = Vino_sim.Stats
 
 let default_tenant_counts = [ 1; 4; 12 ]
 
@@ -11,16 +10,15 @@ let report ?pool ~tenants ~path () =
    (ungated, informational) line — the JSON still carries it. *)
 let rows ?pool ~tenants ~path () =
   let r = report ?pool ~tenants ~path () in
-  let st = Stats.create () in
-  List.iter (Stats.add st) (Serve.latencies r);
+  let p50, p99, p999 = Serve.latency_percentiles r in
   let label s =
     Printf.sprintf "t=%d %s %s" tenants (Serve.path_name path) s
   in
   [
     Table.elapsed (label "makespan") r.Serve.drain_us;
-    Table.elapsed (label "p50") (Stats.percentile st 50.);
-    Table.elapsed (label "p99") (Stats.percentile st 99.);
-    Table.elapsed (label "p999") (Stats.percentile st 99.9);
+    Table.elapsed (label "p50") p50;
+    Table.elapsed (label "p99") p99;
+    Table.elapsed (label "p999") p999;
     Table.overhead (label "throughput (req/s)") r.Serve.throughput_rps;
   ]
 

@@ -555,3 +555,69 @@ let latencies ?tenant report =
       | Some wanted when t <> wanted -> None
       | _ -> Some us)
     report.samples
+
+let latency_percentiles report =
+  let st = Vino_sim.Stats.create () in
+  List.iter (Vino_sim.Stats.add st) (latencies report);
+  let p = Vino_sim.Stats.percentile st in
+  (p 50., p 99., p 99.9)
+
+let to_json report =
+  let open Vino_trace.Json in
+  let cfg = report.config in
+  let p50, p99, p999 = latency_percentiles report in
+  Obj
+    [
+      ( "config",
+        Obj
+          [
+            ("tenants", Int cfg.tenants);
+            ("requests", Int cfg.requests);
+            ("interval", Int cfg.interval);
+            ("pause", Int cfg.pause);
+            ("max_inflight", Int cfg.max_inflight);
+            ("jit_cache_cap", Int cfg.jit_cache_cap);
+            ("reinstall_every", Int cfg.reinstall_every);
+            ("shards", Int cfg.shards);
+            ("path", String (path_name cfg.path));
+            ("seed", Int cfg.seed);
+            ( "runaway",
+              Option.fold ~none:Null ~some:(fun i -> Int i) cfg.runaway );
+            ("net_quota", Int cfg.net_quota);
+          ] );
+      ("served", Int report.served);
+      ("rejected", Int report.rejected);
+      ("admission_audited", Int report.admission_audited);
+      ("handler_failures", Int report.handler_failures);
+      ("transmitted", Int report.transmitted);
+      ("quota_denials", Int report.quota_denials);
+      ( "jit",
+        Obj
+          [
+            ("hits", Int report.jit_hits);
+            ("misses", Int report.jit_misses);
+            ("evictions", Int report.jit_evictions);
+          ] );
+      ("drain_us", Float report.drain_us);
+      ("throughput_rps", Float report.throughput_rps);
+      ( "latency_us",
+        Obj [ ("p50", Float p50); ("p99", Float p99); ("p999", Float p999) ]
+      );
+      ( "per_tenant",
+        List
+          (List.map
+             (fun (t, fam, served, rejected) ->
+               Obj
+                 [
+                   ("tenant", Int t);
+                   ("family", String fam);
+                   ("served", Int served);
+                   ("rejected", Int rejected);
+                 ])
+             report.per_tenant) );
+      ( "samples",
+        List
+          (List.map
+             (fun (t, req, lat) -> List [ Int t; Int req; Float lat ])
+             report.samples) );
+    ]

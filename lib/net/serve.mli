@@ -115,3 +115,13 @@ val run : ?pool:Vino_par.Pool.t -> config -> report
 val latencies : ?tenant:int -> report -> float list
 (** Served-request latencies in sample order, optionally restricted to
     one tenant. *)
+
+val latency_percentiles : report -> float * float * float
+(** p50, p99 and p99.9 of every served request's latency in virtual
+    microseconds; all zero when nothing was served. *)
+
+val to_json : report -> Vino_trace.Json.t
+(** The config echo, counters, [jit], [drain_us], [throughput_rps],
+    [latency_us] (the {!latency_percentiles}), [per_tenant] and every
+    sample as [[tenant, request, latency_us]]. A pure function of the
+    report, so [vino serve --json] is byte-identical at any [-j]. *)

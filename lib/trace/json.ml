@@ -23,10 +23,17 @@ let escape s =
     s;
   Buffer.contents b
 
+(* The shortest of 15, 16 or 17 significant digits that reads back as the
+   same float; 17 always does. *)
 let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6g" f
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else
+    let rec shortest digits =
+      let s = Printf.sprintf "%.*g" digits f in
+      if digits >= 17 || float_of_string s = f then s
+      else shortest (digits + 1)
+    in
+    shortest 15
 
 let to_string v =
   let b = Buffer.create 1024 in

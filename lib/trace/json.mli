@@ -13,7 +13,9 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Multi-line, two-space indent, stable key order as given. *)
+(** Multi-line, two-space indent, stable key order as given. A float
+    prints with the fewest significant digits (15 to 17) that parse back
+    to the same value; an integral one below 1e15 prints as [n.0]. *)
 
 val of_string : string -> (t, string) result
 (** Strict enough for round-tripping our own output; errors carry an

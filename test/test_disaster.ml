@@ -162,6 +162,54 @@ let test_nested_fault_merged_state_recovered () =
 
 (* ----------------------------- campaign ------------------------------- *)
 
+(* Decode [Campaign.to_json]'s text back into a report: building each
+   record makes the compiler demand every field, violations included. *)
+let report_of_json j =
+  let module J = Vino_trace.Json in
+  let field name v =
+    match J.member name v with
+    | Some v -> v
+    | None -> Alcotest.failf "missing %s" name
+  in
+  let int name v = Option.get (J.int_value (field name v)) in
+  let str name v = Option.get (J.string_value (field name v)) in
+  let named name_of all name v =
+    List.find (fun x -> name_of x = str name v) all
+  in
+  let expectation =
+    named Injector.expectation_name
+      Injector.[ Rejected; Contained; Recovered ]
+  in
+  let record v =
+    {
+      Campaign.index = int "index" v;
+      family = named Site.family_name Site.all_families "family" v;
+      kind = named Injector.name Injector.all "kind" v;
+      note = str "note" v;
+      expect = expectation "expect" v;
+      observed = expectation "observed" v;
+      violations =
+        List.map
+          (fun s -> Option.get (J.string_value s))
+          (J.to_list (field "violations" v));
+      fingerprint = str "fingerprint" v;
+      vtime = int "vtime" v;
+    }
+  in
+  {
+    Campaign.seed = int "seed" j;
+    count = int "count" j;
+    records = List.map record (J.to_list (field "records" j));
+  }
+
+let check_json report =
+  let module J = Vino_trace.Json in
+  match J.of_string (J.to_string (Campaign.to_json report)) with
+  | Error e -> Alcotest.failf "campaign JSON does not parse: %s" e
+  | Ok j ->
+      Alcotest.(check bool) "JSON decodes to the report" true
+        (report_of_json j = report)
+
 let test_campaign_full_product_clean () =
   (* 40 injections = the full 5-family x 8-injector product, each run twice
      (determinism check). The ISSUE's acceptance bar. *)
@@ -185,7 +233,24 @@ let test_campaign_deterministic_across_runs () =
     "same seed, same fingerprints" (fingerprints a) (fingerprints b);
   let c = Campaign.run ~check_determinism:false ~seed:43 ~count:10 () in
   Alcotest.(check bool) "different seed, different campaign" true
-    (fingerprints a <> fingerprints c)
+    (fingerprints a <> fingerprints c);
+  check_json a;
+  (* violations, and strings JSON must escape, survive the encoder too *)
+  check_json
+    {
+      a with
+      Campaign.records =
+        List.mapi
+          (fun k r ->
+            if k > 0 then r
+            else
+              {
+                r with
+                Campaign.note = "tab\there, \"quoted\"\n";
+                violations = [ "lock \"vfs\" still held"; "back\\slash" ];
+              })
+          a.Campaign.records;
+    }
 
 let suite =
   [

@@ -10,6 +10,104 @@ module Pool = Vino_par.Pool
 let small =
   { Serve.default with Serve.tenants = 4; requests = 8; shards = 2 }
 
+(* Decode [Serve.to_json]'s text back into a report. Building the record
+   makes the compiler demand every field, so [check_json] compares the
+   config echo, counters, every tenant row and every sample, with floats
+   exact. *)
+let report_of_json j =
+  let module J = Vino_trace.Json in
+  let get path =
+    List.fold_left
+      (fun v name ->
+        match J.member name v with
+        | Some v -> v
+        | None -> Alcotest.failf "missing %s" (String.concat "." path))
+      j path
+  in
+  let int_of v = Option.get (J.int_value v) in
+  let float_of = function
+    | J.Float f -> f
+    | _ -> Alcotest.fail "expected a float"
+  in
+  let int path = int_of (get path) in
+  let float path = float_of (get path) in
+  let config name = int [ "config"; name ] in
+  {
+    Serve.config =
+      {
+        Serve.tenants = config "tenants";
+        requests = config "requests";
+        interval = config "interval";
+        pause = config "pause";
+        max_inflight = config "max_inflight";
+        jit_cache_cap = config "jit_cache_cap";
+        reinstall_every = config "reinstall_every";
+        shards = config "shards";
+        path =
+          Option.get
+            (Serve.path_of_name
+               (Option.get (J.string_value (get [ "config"; "path" ]))));
+        seed = config "seed";
+        runaway =
+          (match get [ "config"; "runaway" ] with
+          | J.Null -> None
+          | v -> Some (int_of v));
+        net_quota = config "net_quota";
+      };
+    samples =
+      List.map
+        (function
+          | J.List [ t; req; lat ] -> (int_of t, int_of req, float_of lat)
+          | _ -> Alcotest.fail "sample is not [tenant, request, latency]")
+        (J.to_list (get [ "samples" ]));
+    per_tenant =
+      List.map
+        (fun row ->
+          let field name = Option.get (J.member name row) in
+          ( int_of (field "tenant"),
+            Option.get (J.string_value (field "family")),
+            int_of (field "served"),
+            int_of (field "rejected") ))
+        (J.to_list (get [ "per_tenant" ]));
+    served = int [ "served" ];
+    rejected = int [ "rejected" ];
+    admission_audited = int [ "admission_audited" ];
+    handler_failures = int [ "handler_failures" ];
+    transmitted = int [ "transmitted" ];
+    quota_denials = int [ "quota_denials" ];
+    jit_hits = int [ "jit"; "hits" ];
+    jit_misses = int [ "jit"; "misses" ];
+    jit_evictions = int [ "jit"; "evictions" ];
+    drain_us = float [ "drain_us" ];
+    throughput_rps = float [ "throughput_rps" ];
+  }
+
+(* [Serve.to_json] re-parses to exactly the report, keys in the CLI's
+   order, and carries {!Serve.latency_percentiles} as [latency_us]. *)
+let check_json r =
+  let module J = Vino_trace.Json in
+  let j =
+    match J.of_string (J.to_string (Serve.to_json r)) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "serve JSON does not parse: %s" e
+  in
+  Alcotest.(check (list string))
+    "top-level keys in order"
+    [ "config"; "served"; "rejected"; "admission_audited"; "handler_failures";
+      "transmitted"; "quota_denials"; "jit"; "drain_us"; "throughput_rps";
+      "latency_us"; "per_tenant"; "samples" ]
+    (match j with J.Obj fields -> List.map fst fields | _ -> []);
+  Alcotest.(check bool) "decodes to the report" true (report_of_json j = r);
+  let p50, p99, p999 = Serve.latency_percentiles r in
+  Alcotest.(check (list (float 0.)))
+    "latency_us" [ p50; p99; p999 ]
+    (List.map
+       (fun k ->
+         match Option.bind (J.member "latency_us" j) (J.member k) with
+         | Some (J.Float f) -> f
+         | _ -> Alcotest.failf "latency_us.%s is not a float" k)
+       [ "p50"; "p99"; "p999" ])
+
 (* The report is a pure function of the config: running the shards
    serially and over a 3-domain pool must produce equal reports, and
    repeating a run must reproduce it bit-for-bit. *)
@@ -29,7 +127,11 @@ let test_determinism () =
     serial.Serve.served;
   Alcotest.(check bool) "makespan positive" true (serial.Serve.drain_us > 0.);
   Alcotest.(check bool) "throughput positive" true
-    (serial.Serve.throughput_rps > 0.)
+    (serial.Serve.throughput_rps > 0.);
+  check_json serial;
+  Alcotest.(check string) "pooled JSON equals serial"
+    (Vino_trace.Json.to_string (Serve.to_json serial))
+    (Vino_trace.Json.to_string (Serve.to_json pooled))
 
 (* Samples come back sorted by (tenant, request) with no duplicates, so
    JSON dumps diff cleanly. *)
@@ -55,7 +157,18 @@ let test_admission_control () =
   Alcotest.(check int) "served + rejected accounts for every arrival"
     (small.Serve.tenants * small.Serve.requests)
     (r.Serve.served + r.Serve.rejected);
-  Alcotest.(check int) "no handler failures" 0 r.Serve.handler_failures
+  Alcotest.(check int) "no handler failures" 0 r.Serve.handler_failures;
+  check_json r;
+  (* a zero cap sheds every arrival: no samples, zero percentiles *)
+  let none = Serve.run { small with Serve.max_inflight = 0 } in
+  Alcotest.(check int) "zero cap serves nothing" 0 none.Serve.served;
+  Alcotest.(check int) "zero cap rejects every arrival"
+    (small.Serve.tenants * small.Serve.requests)
+    none.Serve.rejected;
+  Alcotest.(check (list (float 0.))) "zero percentiles" [ 0.; 0.; 0. ]
+    (let p50, p99, p999 = Serve.latency_percentiles none in
+     [ p50; p99; p999 ]);
+  check_json none
 
 (* A runaway tenant flooding [net.send] is capped by its own inherited
    [Net_packets] slice: it transmits at most its quota, the rest are
@@ -80,7 +193,8 @@ let test_runaway_contained () =
         (Serve.latencies ~tenant:t r))
     [ 1; 2; 3 ];
   Alcotest.(check bool) "the runaway's own samples do change" true
-    (Serve.latencies ~tenant:0 base <> Serve.latencies ~tenant:0 r)
+    (Serve.latencies ~tenant:0 base <> Serve.latencies ~tenant:0 r);
+  check_json r
 
 (* Translation is a host-time optimisation: interpreted and translated
    runs are cycle-identical (the jit-differential invariant), while the

@@ -214,7 +214,15 @@ let json_roundtrip () =
       Alcotest.(check string) "roundtrip" (Json.to_string j) (Json.to_string j');
       (match Json.member "n" j' with
       | Some v -> Alcotest.(check (option int)) "int" (Some (-42)) (Json.int_value v)
-      | None -> Alcotest.fail "missing n")
+      | None -> Alcotest.fail "missing n");
+      (* floats come back as the same value, not a 6-digit rounding *)
+      List.iter
+        (fun f ->
+          match Json.of_string (Json.to_string (Json.Float f)) with
+          | Ok (Json.Float f') ->
+              Alcotest.(check (float 0.)) (Printf.sprintf "%h" f) f f'
+          | Ok _ | Error _ -> Alcotest.failf "float %h did not re-parse" f)
+        [ 1.5; 112.16666666666667; 530156.4833333333; 1e-07; 0.1; -2.5e300 ]
 
 let report_json_shape () =
   let sink = Trace.create () in
