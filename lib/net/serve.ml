@@ -437,15 +437,12 @@ let run_shard cfg shard =
       in
       phase + (r * cfg.interval) + (pauses * cfg.pause)
     in
+    (* one chain per tenant: only each tenant's next arrival sits in the
+       event heap, in the order per-request [Engine.at]s would give *)
     List.iteri
       (fun li i ->
-        for r = 0 to cfg.requests - 1 do
-          let (_ : Engine.cancel) =
-            Engine.at kernel.Kernel.engine (arrival_time cfg i r) (fun () ->
-                arrival li i r)
-          in
-          ()
-        done)
+        Engine.at_each kernel.Kernel.engine ~count:cfg.requests
+          (arrival_time cfg i) (arrival li i))
       tenants;
     Kernel.run kernel;
     let samples = ref [] in
@@ -471,25 +468,32 @@ let run_shard cfg shard =
           acc + Event_point.handler_failures (Port.event_point p))
         0 ports
     in
-    {
-      s_samples = !samples;
-      s_per_tenant =
-        List.mapi
-          (fun li i -> (i, tenant_family cfg i, served.(li), rejected.(li)))
-          tenants;
-      s_served = Array.fold_left ( + ) 0 served;
-      s_rejected = Array.fold_left ( + ) 0 rejected;
-      s_audited = audited;
-      s_failures = failures;
-      s_transmitted = Netout.transmitted netout;
-      s_denials = Netout.quota_denials netout;
-      s_jit = Kernel.jit_cache_stats kernel;
-      (* Makespan is the instant the last response committed, not the
-         engine drain time: cancelled lock-timeout timers stay armed on
-         the tick wheel and fire as no-ops, which would otherwise round
-         the drain up to the next 10ms tick boundary. *)
-      s_drain_us = Costs.us_of_cycles !last_done;
-    }
+    let out =
+      {
+        s_samples = !samples;
+        s_per_tenant =
+          List.mapi
+            (fun li i -> (i, tenant_family cfg i, served.(li), rejected.(li)))
+            tenants;
+        s_served = Array.fold_left ( + ) 0 served;
+        s_rejected = Array.fold_left ( + ) 0 rejected;
+        s_audited = audited;
+        s_failures = failures;
+        s_transmitted = Netout.transmitted netout;
+        s_denials = Netout.quota_denials netout;
+        s_jit = Kernel.jit_cache_stats kernel;
+        (* Makespan is the instant the last response committed, not the
+           engine drain time: cancelled lock-timeout timers stay armed on
+           the tick wheel and fire as no-ops, which would otherwise round
+           the drain up to the next 10ms tick boundary. *)
+        s_drain_us = Costs.us_of_cycles !last_done;
+      }
+    in
+    (* nothing of the shard's kernel outlives [out]: its memory, the
+       shard's largest allocation, goes to the next kernel this domain
+       builds (the next shard, or the next run) *)
+    Vino_vm.Mem.release kernel.Kernel.mem;
+    out
   end
 
 let check cfg =

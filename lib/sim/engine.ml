@@ -57,6 +57,34 @@ let at t time f =
 
 let after t delta f = at t (t.clock + delta) f
 
+(* A chain of [count] events that pops exactly as [count] calls to [at]
+   made now would: the chain's sequence numbers are claimed up front
+   and only the next event sits in the queue. Each link queues its
+   successor before running [f], under the successor's reserved number,
+   so ties with anything else scheduled meanwhile break as they would
+   have — pop order depends only on the (key, seq) pairs. *)
+let at_each t ~count time f =
+  if count < 0 then invalid_arg "Engine.at_each: negative count";
+  let times = Array.init count time in
+  Array.iteri
+    (fun i ti ->
+      if ti < (if i = 0 then t.clock else times.(i - 1)) then
+        invalid_arg "Engine.at_each: time in the past or decreasing")
+    times;
+  let first = Pqueue.reserve t.queue count in
+  let rec link i =
+    {
+      cancelled = false;
+      thunk =
+        (fun () ->
+          if i + 1 < count then
+            Pqueue.add_seq t.queue ~key:times.(i + 1) ~seq:(first + i + 1)
+              (link (i + 1));
+          f i);
+    }
+  in
+  if count > 0 then Pqueue.add_seq t.queue ~key:times.(0) ~seq:first (link 0)
+
 (* Schedule and discard the cancellation handle. *)
 let schedule t time f =
   let (_ : cancel) = at t time f in
@@ -205,15 +233,17 @@ let has_run t = t.has_run
    Event records are shared mutable state (a cancel closure mutates the
    record in place), so the snapshot stores their fields by value and
    [restore] rebuilds fresh records: a trial cancelling a pre-snapshot
-   event must not corrupt the capture. Insertion order is preserved via
-   {!Pqueue.entries}/{!Pqueue.clear}, which reproduces pop order exactly. *)
+   event must not corrupt the capture. Each entry keeps its (key, seq)
+   pair and the sequence counter is restored with them, which
+   reproduces pop order exactly. *)
 
 type snap = {
   s_clock : int;
   s_next_id : int;
+  s_next_seq : int;
   s_failures : (string * exn) list;
   s_procs : proc list;
-  s_events : (int * bool * (unit -> unit)) list;
+  s_events : (int * int * bool * (unit -> unit)) list;
 }
 
 let snapshot t =
@@ -222,11 +252,12 @@ let snapshot t =
   {
     s_clock = t.clock;
     s_next_id = t.next_id;
+    s_next_seq = Pqueue.reserve t.queue 0;
     s_failures = t.failures;
     s_procs = t.procs;
     s_events =
       List.map
-        (fun (key, ev) -> (key, ev.cancelled, ev.thunk))
+        (fun (key, seq, ev) -> (key, seq, ev.cancelled, ev.thunk))
         (Pqueue.entries t.queue);
   }
 
@@ -242,8 +273,13 @@ let restore t s =
       p.interrupt <- None)
     s.s_procs;
   Pqueue.clear t.queue;
+  (* every pending entry keeps its sequence number and the counter
+     resumes where it was: an [at_each] chain queues its later links
+     under numbers it reserved before the snapshot *)
+  ignore (Pqueue.reserve t.queue s.s_next_seq : int);
   List.iter
-    (fun (key, cancelled, thunk) -> Pqueue.add t.queue ~key { cancelled; thunk })
+    (fun (key, seq, cancelled, thunk) ->
+      Pqueue.add_seq t.queue ~key ~seq { cancelled; thunk })
     s.s_events;
   t.has_run <- false
 

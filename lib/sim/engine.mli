@@ -31,6 +31,17 @@ val at : t -> int -> (unit -> unit) -> cancel
 
 val after : t -> int -> (unit -> unit) -> cancel
 
+val at_each : t -> count:int -> (int -> int) -> (int -> unit) -> unit
+(** [at_each t ~count time f] runs [f i] at virtual time [time i] for
+    every [i] in [\[0, count)], in the order [count] calls to {!at}
+    made now would run them, ties with every other event included. The
+    [count] insertion sequence numbers are reserved up front but only
+    the next pending event is queued, so a long open-loop arrival
+    stream costs one heap entry, not [count]. [time] is evaluated once
+    per [i], before this returns. The chain cannot be cancelled.
+    @raise Invalid_argument if [count] is negative, [time 0] is before
+    {!now}, or [time] decreases. *)
+
 type proc
 (** Handle on a spawned process. *)
 
@@ -80,7 +91,9 @@ val has_run : t -> bool
 
 type snap
 (** Captured pre-run engine state: clock, process table, and the pending
-    event queue in insertion order. *)
+    event queue with each entry's insertion sequence number and the
+    sequence counter itself (so pending {!at_each} chains keep their
+    reserved places). *)
 
 val snapshot : t -> snap
 (** Capture a never-run engine. Raises [Invalid_argument] once {!step}

@@ -45,13 +45,23 @@ let rec sift_down t k =
     sift_down t !smallest
   end
 
-let add t ~key value =
-  let entry = { key; seq = t.next_seq; value } in
-  t.next_seq <- t.next_seq + 1;
+let add_seq t ~key ~seq value =
+  let entry = { key; seq; value } in
   grow t entry;
   t.data.(t.size) <- entry;
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
+
+let reserve t n =
+  if n < 0 then invalid_arg "Pqueue.reserve: negative count";
+  let first = t.next_seq in
+  t.next_seq <- first + n;
+  first
+
+let add t ~key value =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  add_seq t ~key ~seq value
 
 let pop t =
   if t.size = 0 then None
@@ -72,10 +82,10 @@ let clear t =
   t.size <- 0;
   t.next_seq <- 0
 
-(* Live entries in insertion order. Pop order is fully determined by the
-   (key, seq) total order, so a queue rebuilt by [add]ing these back in
-   sequence behaves identically regardless of heap layout. *)
+(* Live entries in sequence order. Pop order is fully determined by the
+   (key, seq) total order, so a queue rebuilt by [add_seq]ing these back
+   behaves identically regardless of heap layout. *)
 let entries t =
   let live = Array.sub t.data 0 t.size in
   Array.sort (fun a b -> compare a.seq b.seq) live;
-  Array.to_list (Array.map (fun e -> (e.key, e.value)) live)
+  Array.to_list (Array.map (fun e -> (e.key, e.seq, e.value)) live)

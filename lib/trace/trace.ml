@@ -24,7 +24,10 @@ let sink : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let install t = Domain.DLS.set sink (Some t)
 let uninstall () = Domain.DLS.set sink None
 let current () = Domain.DLS.get sink
-let enabled () = Domain.DLS.get sink <> None
+
+(* a [match], not [<> None]: polymorphic compare is a C call, and this
+   guards every span and counter site *)
+let enabled () = match Domain.DLS.get sink with Some _ -> true | None -> false
 
 let with_t t f =
   let saved = Domain.DLS.get sink in

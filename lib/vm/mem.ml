@@ -3,9 +3,22 @@ type segment = { base : int; size : int }
 
 exception Fault of { addr : int; write : bool }
 
+(* One released memory per domain. A fresh memory is a major-heap
+   allocation the size of the whole simulated machine: the runtime
+   mallocs it, counts it towards major-GC work and the OS faults its
+   pages in. Refilling a spare with zeros costs only the writes. *)
+let spare : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
 let create words =
   if words <= 0 then invalid_arg "Mem.create: size must be positive";
-  { data = Array.make words 0 }
+  match Domain.DLS.get spare with
+  | Some m when Array.length m.data = words ->
+      Domain.DLS.set spare None;
+      Array.fill m.data 0 words 0;
+      m
+  | Some _ | None -> { data = Array.make words 0 }
+
+let release t = Domain.DLS.set spare (Some t)
 
 let size t = Array.length t.data
 

@@ -17,7 +17,16 @@ exception Fault of { addr : int; write : bool }
 (** Raised on an out-of-memory-bounds access (an un-sandboxed wild access). *)
 
 val create : int -> t
-(** [create words] allocates a zeroed memory of [words] words. *)
+(** [create words] returns a zeroed memory of [words] words: the
+    calling domain's spare from {!release} when it has that size,
+    otherwise a fresh allocation. *)
+
+val release : t -> unit
+(** [release t] makes [t] the calling domain's spare, to be zeroed and
+    handed out by the next {!create} of its size (one spare per domain;
+    a later release replaces an unclaimed one). Only for an owner that
+    knows nothing will read or write [t] again: a released memory that
+    is still in use aliases the next machine built on this domain. *)
 
 val size : t -> int
 val load : t -> int -> int

@@ -227,6 +227,133 @@ let prop_timer_discipline =
            (fun (_, keep) count -> count = if keep then 1 else 0)
            cancels (Array.to_list fired))
 
+(* [at_each] must pop exactly as [count] upfront [at] calls would, ties
+   included: against plain events queued around it, against events its
+   own links schedule while the run is under way, and against processes
+   resuming from [delay]. Keys are drawn from a narrow range so that
+   collisions are the common case. *)
+type sched_item =
+  | Chain of int * int list * int
+      (** first time, increments (nondecreasing times), follow-up delay *)
+  | Plain of int
+  | Proc of int list  (** a spawned process's delays *)
+
+let gen_sched =
+  QCheck2.Gen.(
+    list_size (int_range 0 12)
+      (oneof
+         [
+           map3
+             (fun t0 incs follow -> Chain (t0, incs, follow))
+             (int_range 0 8)
+             (list_size (int_range 0 8) (int_range 0 3))
+             (int_range (-1) 3);
+           map (fun t -> Plain t) (int_range 0 20);
+           map (fun ds -> Proc ds) (list_size (int_range 0 5) (int_range 0 4));
+         ]))
+
+let sched_trace ~each items =
+  let e = Engine.create () in
+  let trace = ref [] in
+  let record label () = trace := (label, Engine.now e) :: !trace in
+  List.iteri
+    (fun k item ->
+      match item with
+      | Chain (t0, incs, follow) ->
+          let times =
+            Array.of_list
+              (List.rev
+                 (List.fold_left
+                    (fun acc d -> (List.hd acc + d) :: acc)
+                    [ t0 ] incs))
+          in
+          let link i =
+            let label = Printf.sprintf "c%d.%d" k i in
+            record label ();
+            (* a link may schedule more work while the run is under way *)
+            if follow >= 0 then
+              ignore (Engine.after e follow (record (label ^ "+")) : Engine.cancel)
+          in
+          let count = Array.length times in
+          if each then Engine.at_each e ~count (Array.get times) link
+          else
+            Array.iteri
+              (fun i time ->
+                ignore (Engine.at e time (fun () -> link i) : Engine.cancel))
+              times
+      | Plain t ->
+          ignore (Engine.at e t (record (Printf.sprintf "p%d" k)) : Engine.cancel)
+      | Proc delays ->
+          ignore
+            (Engine.spawn e (fun () ->
+                 List.iteri
+                   (fun j d ->
+                     Engine.delay d;
+                     record (Printf.sprintf "d%d.%d" k j) ())
+                   delays)
+              : Engine.proc))
+    items;
+  Engine.run e;
+  List.rev !trace
+
+let prop_at_each_is_count_ats =
+  QCheck2.Test.make ~name:"at_each pops exactly as count x at" ~count:300
+    gen_sched (fun items ->
+      sched_trace ~each:true items = sched_trace ~each:false items)
+
+let test_at_each_rejects_bad_times () =
+  let e = Engine.create () in
+  ignore (Engine.at e 10 ignore : Engine.cancel);
+  Engine.run e;
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "past first time" (fun () ->
+      Engine.at_each e ~count:2 (fun i -> 5 + i) ignore);
+  raises "decreasing time" (fun () ->
+      Engine.at_each e ~count:3 (fun i -> if i = 2 then 11 else 12) ignore);
+  raises "negative count" (fun () -> Engine.at_each e ~count:(-1) Fun.id ignore);
+  (* a rejected chain queues nothing; an equal-time chain is fine *)
+  let fired = ref [] in
+  Engine.at_each e ~count:3 (fun _ -> 10) (fun i -> fired := i :: !fired);
+  Engine.run e;
+  Alcotest.(check (list int)) "ties fire in index order" [ 0; 1; 2 ]
+    (List.rev !fired)
+
+(* Restoring a snapshot must keep every pending entry's sequence number
+   and the counter: the chains' later links are queued under numbers
+   reserved before the snapshot. Two chains with the plain event [p]
+   tied on their second key make a renumbering restore run [p] before
+   the second chain's link. *)
+let test_snapshot_keeps_sequence_numbers () =
+  let e = Engine.create () in
+  let trace = ref [] in
+  let record label = trace := (label, Engine.now e) :: !trace in
+  Engine.at_each e ~count:3 (fun i -> 10 * (i + 1)) (fun i ->
+      record (Printf.sprintf "a%d" i));
+  Engine.at_each e ~count:3 (fun i -> 10 * (i + 1)) (fun i ->
+      record (Printf.sprintf "b%d" i));
+  ignore (Engine.at e 20 (fun () -> record "p") : Engine.cancel);
+  let snap = Engine.snapshot e in
+  let run () =
+    trace := [];
+    Engine.run e;
+    List.rev !trace
+  in
+  let first = run () in
+  Alcotest.(check (list (pair string int)))
+    "first run in (key, seq) order"
+    [
+      ("a0", 10); ("b0", 10); ("a1", 20); ("b1", 20); ("p", 20); ("a2", 30);
+      ("b2", 30);
+    ]
+    first;
+  Engine.restore e snap;
+  Alcotest.(check (list (pair string int))) "restored run identical" first
+    (run ())
+
 let test_stats_trimming () =
   let s = Vino_sim.Stats.create () in
   (* 8 well-behaved samples plus two wild outliers *)
@@ -267,6 +394,11 @@ let suite =
         Alcotest.test_case "tick latency in [T, 2T)" `Quick
           test_tick_latency_bounds;
         QCheck_alcotest.to_alcotest prop_timer_discipline;
+        QCheck_alcotest.to_alcotest prop_at_each_is_count_ats;
+        Alcotest.test_case "at_each rejects past and decreasing times" `Quick
+          test_at_each_rejects_bad_times;
+        Alcotest.test_case "snapshot keeps sequence numbers" `Quick
+          test_snapshot_keeps_sequence_numbers;
         Alcotest.test_case "stats trims 10% outliers" `Quick
           test_stats_trimming;
       ] );

@@ -96,6 +96,22 @@ let prop_sandbox =
       Mem.in_segment seg s
       && (if Mem.in_segment seg addr then s = addr else true))
 
+(* A released memory comes back from the next [create] of its size, and
+   comes back zeroed; any other size gets a fresh one. *)
+let test_release_reuses_zeroed () =
+  let m = Mem.create 96 in
+  Mem.store m 5 7;
+  Mem.store m 95 9;
+  Mem.release m;
+  let other = Mem.create 64 in
+  Alcotest.(check bool) "another size is fresh" false (other == m);
+  let again = Mem.create 96 in
+  Alcotest.(check bool) "same size reuses the spare" true (again == m);
+  Alcotest.(check (list int)) "reused memory is zeroed" [ 0; 0 ]
+    [ Mem.load again 5; Mem.load again 95 ];
+  let third = Mem.create 96 in
+  Alcotest.(check bool) "the spare is handed out once" false (third == m)
+
 let suite =
   [
     ( "mem",
@@ -110,5 +126,7 @@ let suite =
         Alcotest.test_case "blit/fill atomicity on faults" `Quick
           test_blit_atomic;
         QCheck_alcotest.to_alcotest prop_sandbox;
+        Alcotest.test_case "release hands a zeroed spare back" `Quick
+          test_release_reuses_zeroed;
       ] );
   ]

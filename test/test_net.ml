@@ -240,6 +240,114 @@ let test_committed_sends_transmit () =
   Alcotest.(check int) "to the right destination" 100
     (Netout.transmitted_to net ~dest:5)
 
+(* Event-point workers own their transaction outright, so each request
+   returns its frame to the manager's arena — on commit and on a fault
+   alike — with the lock released and no waiter left behind. The
+   per-handler names are computed once at install and read exactly as
+   they always have. *)
+let test_event_point_recycles_frames () =
+  let module Txn = Vino_txn.Txn in
+  let module Lock = Vino_txn.Lock in
+  let module Asm = Vino_vm.Asm in
+  let module Audit = Vino_core.Audit in
+  let kernel = Kernel.create ~mem_words:(1 lsl 15) () in
+  let mgr = kernel.Kernel.txn_mgr in
+  let lock = Kernel.make_lock kernel ~name:"ep.test" () in
+  let seen = ref [] in
+  let (_ : Vino_core.Kcall.fn) =
+    Kernel.register_kcall kernel ~name:"ep.acquire" (fun ctx ->
+        match ctx.Vino_core.Kcall.txn with
+        | None -> Vino_core.Kcall.abort "ep.acquire outside a transaction"
+        | Some txn -> (
+            seen :=
+              (Engine.proc_name (Engine.self ()), Txn.name txn) :: !seen;
+            match Txn.acquire_lock txn lock Exclusive with
+            | Ok () -> Vino_core.Kcall.ok
+            | Error reason -> Vino_core.Kcall.abort reason))
+  in
+  (* take the lock, then divide by the first payload word: a zero word
+     faults with the lock held *)
+  let source : Asm.item list =
+    [
+      Mov (Asm.r5, Asm.r1);
+      Kcall "ep.acquire";
+      Ld (Asm.r6, Asm.r5, 0);
+      Li (Asm.r7, 10);
+      Alu (Vino_vm.Insn.Div, Asm.r0, Asm.r7, Asm.r6);
+      Ret;
+    ]
+  in
+  let image =
+    match Kernel.seal kernel (Asm.assemble_exn source) with
+    | Ok i -> i
+    | Error e -> Alcotest.fail e
+  in
+  let port = Port.create kernel Tcp ~number:8123 in
+  let ep = Port.event_point port in
+  let hid =
+    match Event_point.add_handler ep kernel ~cred:app image with
+    | Ok hid -> hid
+    | Error e -> Alcotest.fail e
+  in
+  let quiet () =
+    Alcotest.(check (list string)) "no lock holder" []
+      (List.map fst (Lock.holders lock));
+    Alcotest.(check (list string)) "no lock waiter" []
+      (List.map fst (Lock.waiters lock));
+    Alcotest.(check int) "every frame returned" 0 (Txn.frames_outstanding mgr)
+  in
+  let sink = Vino_trace.Trace.create () in
+  let rounds = 5 in
+  Vino_trace.Trace.with_t sink (fun () ->
+      for _ = 1 to rounds do
+        (* two concurrent requests contend for the lock *)
+        Port.connect port ~payload:[| 2 |];
+        Port.connect port ~payload:[| 5 |];
+        Kernel.run kernel;
+        quiet ()
+      done);
+  let n = 2 * rounds in
+  Alcotest.(check int) "one transaction per request" n (Txn.begins mgr);
+  Alcotest.(check int) "all committed" n (Txn.commits mgr);
+  Alcotest.(check bool) "frames parked for reuse" true
+    (Txn.frames_retained mgr >= 1);
+  Alcotest.(check bool) "the two requests contended" true
+    (Lock.contentions lock > 0);
+  let txn_name = Printf.sprintf "tcp.port-8123#%d" hid in
+  let worker_name = Printf.sprintf "tcp.port-8123-worker-%d" hid in
+  Alcotest.(check (list (pair string string)))
+    "worker and transaction names"
+    (List.init n (fun _ -> (worker_name, txn_name)))
+    !seen;
+  let begins =
+    List.filter_map
+      (fun (sp : Vino_trace.Span.t) ->
+        match sp.kind with Txn_begin -> Some sp.label | _ -> None)
+      (Vino_trace.Trace.spans sink)
+  in
+  Alcotest.(check (list string)) "trace labels" (List.init n (fun _ -> txn_name))
+    begins;
+  (* a faulting request aborts with the lock held and still returns its
+     frame *)
+  Port.connect port ~payload:[| 0 |];
+  Kernel.run kernel;
+  quiet ();
+  Alcotest.(check int) "one more transaction" (n + 1) (Txn.begins mgr);
+  Alcotest.(check int) "it aborted" 1 (Txn.aborts mgr);
+  Alcotest.(check int) "faulting handler removed" 0
+    (Event_point.handler_count ep);
+  let failed =
+    List.filter_map
+      (fun (e : Audit.entry) ->
+        match e.Audit.event with
+        | Audit.Handler_failed { point; handler; _ } -> Some (point, handler)
+        | _ -> None)
+      (Audit.entries kernel.Kernel.audit)
+  in
+  Alcotest.(check (list (pair string int))) "failure audited"
+    [ ("tcp.port-8123", hid) ]
+    failed
+
 let suite =
   [
     ( "net",
@@ -268,5 +376,7 @@ let suite =
           test_aborted_sends_never_hit_the_wire;
         Alcotest.test_case "committed sends transmit" `Quick
           test_committed_sends_transmit;
+        Alcotest.test_case "event point recycles transaction frames" `Quick
+          test_event_point_recycles_frames;
       ] );
   ]

@@ -272,6 +272,15 @@ let test_config_validation () =
       (runaway (-1), "runaway tenant out of range");
     ]
 
+(* The full serve report, byte for byte, against committed
+   [vino serve --json] output: host-side bookkeeping (how arrivals are
+   queued, transaction frames recycled, kernel memory reused) must not
+   move a single virtual cycle, sample or key. *)
+let check_golden file cfg () =
+  let expected = In_channel.with_open_bin file In_channel.input_all in
+  Alcotest.(check string) file expected
+    (Vino_trace.Json.to_string (Serve.to_json (Serve.run cfg)))
+
 let suite =
   [
     ( "serve",
@@ -289,5 +298,10 @@ let suite =
         Alcotest.test_case "churn drives the translation cache" `Quick
           test_cache_churn;
         Alcotest.test_case "config validation" `Quick test_config_validation;
+        Alcotest.test_case "golden report: default" `Quick
+          (check_golden "serve_default.golden.json" Serve.default);
+        Alcotest.test_case "golden report: --inflight 1 --interval 1000" `Quick
+          (check_golden "serve_inflight1_interval1000.golden.json"
+             { Serve.default with Serve.max_inflight = 1; interval = 1000 });
       ] );
   ]
