@@ -1,145 +1,68 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§4) from the simulator, and measures wall-clock costs of the
-   same paths with Bechamel.
+   evaluation (§4) from the simulator.
 
    Usage:
      bench/main.exe                 -- everything (default iterations)
-     bench/main.exe -j 4 tables     -- fan table rows out over 4 domains
-     bench/main.exe speedup         -- time tables at -j 1 vs -j N
      bench/main.exe quick           -- everything, fewer iterations
-     bench/main.exe table3|table4|table5|table6|table7
-     bench/main.exe disaster        -- recovery cost by injected fault class
-     bench/main.exe abortmodel      -- the §4.5 equation
-     bench/main.exe lockfactor      -- Figures 4/5
+     bench/main.exe tables          -- the gated tables
+     bench/main.exe -j 4 tables     -- fan table rows out over 4 domains
+     bench/main.exe --json quick    -- the gated tables, each also written
+                                       as BENCH_<name>.json
+     bench/main.exe NAME            -- one table of Vino_measure.Tables:
+                                       table3..table7, disaster, serve,
+                                       abortmodel, lockfactor, calibrate
+     bench/main.exe disaster        -- also appends wall-clock campaign rows
+     bench/main.exe fig3            -- Figure 3: the measured code paths
      bench/main.exe costbenefit     -- §4.1/§4.2/§4.3 cost-benefit analyses
      bench/main.exe ablations       -- design-choice ablations (DESIGN.md)
-     bench/main.exe bechamel        -- wall-clock Bechamel suite only *)
+     bench/main.exe speedup         -- time tables at -j 1 vs -j N *)
 
 open Vino_measure
-module Trace = Vino_trace.Trace
 
-(* --json: besides printing, write each table as BENCH_<name>.json
-   (schema vino-bench-v1, see Table.to_json), computing the rows under a
-   private trace sink so the emitted counters describe exactly that
-   table's run. The sink never changes virtual cycle counts (zero-cost
-   guarantee), so numbers match the plain run bit-for-bit. *)
+(* --json: a gated table is also written as BENCH_<name>.json (see
+   Tables.emit). *)
 let json_mode = ref false
 
-let emit ~name ~title ?notes rows_fn =
-  if !json_mode then begin
-    let sink = Trace.create () in
-    let rows = Trace.with_t sink rows_fn in
-    Table.print ~title ?notes rows;
-    let file = Printf.sprintf "BENCH_%s.json" name in
-    Table.write_json ~file ~name ~title ~counters:(Trace.counters sink) rows;
-    Printf.printf "wrote %s\n%!" file
-  end
-  else Table.print ~title ?notes (rows_fn ())
+let emit ~iterations ?pool e =
+  Tables.emit ~json:!json_mode ~iterations ?pool e
 
-let table3 ~iterations ?pool () =
-  emit ~name:"table3"
-    ~title:"Table 3: Read-ahead graft overhead (Black Box; paper §4.1)"
-    ~notes:
-      "Note: our MiSFIT delta is smaller than the paper's 3us because the\n\
-       IR graft is shorter than their compiled C++; every other component\n\
-       matches."
-    (fun () -> Sc_readahead.table ~iterations ?pool ())
-
-let table4 ~iterations ?pool () =
-  emit ~name:"table4"
-    ~title:"Table 4: Page eviction graft overhead (Prioritization; §4.2)"
-    ~notes:
-      (Printf.sprintf
-         "Graft overrules the default victim each run. Agreement case: %.1f \
-          us\n\
-          (paper: 39+120=159 us elapsed); overrule >> agreement matches."
-         (Sc_evict.measure_agreement ~iterations ()))
-    (fun () -> Sc_evict.table ~iterations ?pool ())
-
-let table5 ~iterations ?pool () =
-  emit ~name:"table5"
-    ~title:"Table 5: Scheduling graft overhead (Prioritization; §4.3)"
-    ~notes:
-      "Largest increase comes from transaction+lock costs, ~2x the process\n\
-       switch cost, as in the paper (~2% of a 10 ms timeslice)."
-    (fun () -> Sc_sched.table ~iterations ?pool ())
-
-let table6 ~iterations ?pool () =
-  emit ~name:"table6"
-    ~title:"Table 6: Encryption graft overhead (Stream; SFI worst case; §4.4)"
-    ~notes:
-      "MiSFIT roughly doubles the graft function: the graft is almost\n\
-       entirely loads and stores."
-    (fun () -> Sc_crypt.table ~iterations ?pool ())
-
-let table7 ~iterations ?pool () =
-  emit ~name:"table7"
-    ~title:"Table 7: Graft abort costs (null vs full abort; §4.5)" (fun () ->
-      Abort_model.table7 ~iterations ?pool ())
-
-(* [wall:true] appends wall-clock rows comparing forked (snapshot-restored
-   warmed sites) and fresh (site rebuilt per trial) campaigns. Only the
-   standalone `disaster` dispatch passes it: the rows are host timings, so
-   they are incremental (ungated) and must not appear in the `tables` run
-   the parallel-determinism CI job byte-diffs. *)
-let disaster ?(wall = false) ?pool () =
-  emit ~name:"disaster"
-    ~title:"Disaster rig: recovery cost by fault class (stream site; seeded)"
-    ~notes:
-      "Delta over the healthy row is detection + abort + removal. Lock-hog\n\
-       and nested-fault rows include the contender whose time-out triggers\n\
-       the abort; loop rows are budget-bound (200k cycles)."
-    (fun () ->
-      let rows = Sc_disaster.table ?pool () in
-      if not wall then rows
-      else begin
-        let time f =
-          let t0 = Unix.gettimeofday () in
-          ignore (f ());
-          Unix.gettimeofday () -. t0
-        in
-        let count = 400 in
-        let campaign ~fork ?pool () =
-          Vino_disaster.Campaign.run ?pool ~fork ~seed:42 ~count ()
-        in
-        let fresh = time (fun () -> campaign ~fork:false ()) in
-        let forked = time (fun () -> campaign ~fork:true ()) in
-        let piped = time (fun () -> campaign ~fork:true ?pool ()) in
-        rows
-        @ [
-            Table.overhead
-              (Printf.sprintf "wall: fresh campaign, %d trials" count)
-              (fresh *. 1e6);
-            Table.overhead
-              (Printf.sprintf "wall: forked campaign, %d trials" count)
-              (forked *. 1e6);
-            Table.overhead "wall: forked speedup over fresh (x)"
-              (fresh /. forked);
-            Table.overhead
-              "wall: forked -jN pipeline speedup over fresh -j1 (x)"
-              (fresh /. piped);
-          ]
-      end)
-
-let abortmodel ~iterations ?pool () =
-  Table.print
-    ~title:"Section 4.5 model: abort cost = 35us + 10us*L + c*G"
-    (Abort_model.model_table ~iterations ?pool ());
-  let lo, hi = Abort_model.timeout_latency_bounds () in
-  Printf.printf
-    "Timeout latency with the 10 ms clock tick: %.0f..%.0f ms (paper: 10-20 \
-     ms)\n\n"
-    (Vino_vm.Costs.us_of_cycles lo /. 1000.)
-    (Vino_vm.Costs.us_of_cycles hi /. 1000.)
-
-let lockfactor ~iterations ?pool () =
-  Table.print
-    ~title:"Figures 4/5: conventional vs fully-factored get_lock"
-    ~notes:
-      "Two encapsulated decision points cost two ~35-cycle calls per\n\
-       acquire; the factored manager lets a graft change the grant order\n\
-       (reader-priority vs fifo-fair traces above)."
-    (Lock_factor.table ~iterations ?pool ())
+(* The standalone `disaster` dispatch appends wall-clock rows comparing
+   forked (snapshot-restored warmed sites) and fresh (site rebuilt per
+   trial) campaigns. The rows are host timings, so they are incremental
+   (ungated) and must not appear in the `tables` run the
+   parallel-determinism CI job byte-diffs. *)
+let with_wall_rows (e : Tables.entry) =
+  let wall_rows ?pool () =
+    let time f =
+      let t0 = Unix.gettimeofday () in
+      ignore (f ());
+      Unix.gettimeofday () -. t0
+    in
+    let count = 400 in
+    let campaign ~fork ?pool () =
+      Vino_disaster.Campaign.run ?pool ~fork ~seed:42 ~count ()
+    in
+    let fresh = time (fun () -> campaign ~fork:false ()) in
+    let forked = time (fun () -> campaign ~fork:true ()) in
+    let piped = time (fun () -> campaign ~fork:true ?pool ()) in
+    [
+      Table.overhead
+        (Printf.sprintf "wall: fresh campaign, %d trials" count)
+        (fresh *. 1e6);
+      Table.overhead
+        (Printf.sprintf "wall: forked campaign, %d trials" count)
+        (forked *. 1e6);
+      Table.overhead "wall: forked speedup over fresh (x)" (fresh /. forked);
+      Table.overhead "wall: forked -jN pipeline speedup over fresh -j1 (x)"
+        (fresh /. piped);
+    ]
+  in
+  {
+    e with
+    Tables.rows =
+      (fun ?iterations ?pool () ->
+        e.Tables.rows ?iterations ?pool () @ wall_rows ?pool ());
+  }
 
 let fig3 () =
   print_endline
@@ -268,15 +191,6 @@ let ablation_elevator () =
     [ ("FIFO", Vino_fs.Disk.Fifo); ("elevator", Vino_fs.Disk.Elevator) ];
   print_newline ()
 
-let calibrate () =
-  Table.print
-    ~title:"Per-resource time-out calibration (paper §3.2/§4.5 future work)"
-    ~notes:
-      "For bitmap-style locks the recommended time-out (~18 us) is far
-       below the 10 ms tick: hog recovery is tick-bound at ~10 ms — the
-       paper's 'obviously too coarse grain for some resources'."
-    (Timeout_calib.table ())
-
 let ablation_extension_technologies () =
   (* A Comparison of OS Extension Technologies (paper §5, ref [16]): run the
      same xor-8KB transform unprotected, MiSFIT-rewritten, and inside a
@@ -326,118 +240,17 @@ let ablations ~iterations () =
   ablation_extension_technologies ();
   ablation_undo ~iterations ();
   ablation_timeout ();
-  ablation_elevator ();
-  calibrate ()
-
-(* -------------------------------------------------------------------- *)
-(* Bechamel wall-clock suite: one group per table                        *)
-(* -------------------------------------------------------------------- *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let open Toolkit in
-  let path_test measure path =
-    Test.make
-      ~name:(Path.name path)
-      (Staged.stage (fun () -> ignore (measure path : float)))
-  in
-  let per_table name measure =
-    Test.make_grouped ~name
-      (List.map (path_test measure) [ Path.Base; Path.Null; Path.Safe ])
-  in
-  let tests =
-    Test.make_grouped ~name:"vino"
-      [
-        per_table "table3-readahead" (Sc_readahead.measure ~iterations:2);
-        per_table "table4-evict" (Sc_evict.measure ~iterations:2);
-        per_table "table5-sched" (Sc_sched.measure ~iterations:2);
-        per_table "table6-crypt" (Sc_crypt.measure ~iterations:2);
-        Test.make_grouped ~name:"table7-abort"
-          [
-            Test.make ~name:"abort-0-locks"
-              (Staged.stage (fun () ->
-                   ignore
-                     (Abort_model.abort_cost ~iterations:2 ~locks:0 ~undo:0 ()
-                       : float)));
-            Test.make ~name:"abort-8-locks"
-              (Staged.stage (fun () ->
-                   ignore
-                     (Abort_model.abort_cost ~iterations:2 ~locks:8 ~undo:0 ()
-                       : float)));
-          ];
-        Test.make_grouped ~name:"substrate"
-          [
-            Test.make ~name:"misfit-rewrite-xor"
-              (Staged.stage (fun () ->
-                   let obj =
-                     Vino_vm.Asm.assemble_exn
-                       (Vino_stream.Grafts.xor_encrypt_source ~key:7)
-                   in
-                   ignore (Vino_misfit.Rewrite.process obj.Vino_vm.Asm.code)));
-            Test.make ~name:"image-seal"
-              (Staged.stage (fun () ->
-                   let obj =
-                     Vino_vm.Asm.assemble_exn
-                       (Vino_stream.Grafts.xor_encrypt_source ~key:7)
-                   in
-                   ignore (Vino_misfit.Image.seal ~key:"bench" obj)));
-          ];
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:Measure.[| run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~stabilize:false ()
-  in
-  print_endline "== Bechamel wall-clock suite (ns per run) ==";
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-  |> List.sort compare
-  |> List.iter (fun (name, ols) ->
-         match Analyze.OLS.estimates ols with
-         | Some [ est ] -> Printf.printf "  %-45s %12.0f ns\n" name est
-         | Some _ | None -> Printf.printf "  %-45s %12s\n" name "-");
-  print_newline ()
+  ablation_elevator ()
 
 let all ~iterations ?pool () =
   fig3 ();
-  table3 ~iterations ?pool ();
-  table4 ~iterations ?pool ();
-  table5 ~iterations ?pool ();
-  table6 ~iterations ?pool ();
-  table7 ~iterations ?pool ();
-  disaster ?pool ();
-  abortmodel ~iterations ?pool ();
-  lockfactor ~iterations ?pool ();
+  List.iter (emit ~iterations ?pool) Tables.all;
   costbenefit ~iterations ();
-  ablations ~iterations ();
-  bechamel_suite ()
+  ablations ~iterations ()
 
-let serve ?pool () =
-  emit ~name:"serve"
-    ~title:
-      "Serve: multi-tenant graft server (throughput + latency SLOs, by \
-       path and tenant count)"
-    ~notes:
-      "Arrival-to-response latency of an open-loop multi-tenant workload\n\
-       (admission control, inherited per-tenant rlimits, bounded LRU\n\
-       translation cache). Throughput lines are informational (req/s, not\n\
-       us); percentile and makespan lines are gated."
-    (fun () -> Sc_serve.table ?pool ())
-
-(* The tables the bench gate watches: every paper table plus the
-   disaster recovery-cost table and the multi-tenant serve table. *)
+(* The tables the bench gate watches. *)
 let tables ~iterations ?pool () =
-  table3 ~iterations ?pool ();
-  table4 ~iterations ?pool ();
-  table5 ~iterations ?pool ();
-  table6 ~iterations ?pool ();
-  table7 ~iterations ?pool ();
-  disaster ?pool ();
-  serve ?pool ()
+  List.iter (emit ~iterations ?pool) Tables.gated
 
 (* Time the gated tables serial vs fanned-out and report the ratio.
    Table output is squelched; only the timing summary survives. *)
@@ -476,8 +289,11 @@ let speedup ~jobs () =
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--json] [-j N] \
-     [quick|tables|table3|table4|table5|table6|table7|disaster|serve|abortmodel|lockfactor|costbenefit|ablations|calibrate|speedup|bechamel]";
+    ("usage: main.exe [--json] [-j N] ["
+    ^ String.concat "|"
+        ([ "quick"; "tables" ] @ Tables.names
+        @ [ "fig3"; "costbenefit"; "ablations"; "speedup" ])
+    ^ "]");
   exit 1
 
 let () =
@@ -517,23 +333,13 @@ let () =
   match args with
   | [ _ ] -> with_pool (all ~iterations)
   | [ _; "quick" ] ->
-      (* --json quick only runs the gated tables: the ablations and the
-         wall-clock suite have no JSON form and would dominate the run *)
+      (* --json quick only runs the gated tables: the figure, the
+         cost-benefit lines and the ablations have no JSON form *)
       if !json_mode then with_pool (tables ~iterations:60)
       else with_pool (all ~iterations:60)
   | [ _; "tables" ] -> with_pool (tables ~iterations)
-  | [ _; "table3" ] -> with_pool (table3 ~iterations)
-  | [ _; "table4" ] -> with_pool (table4 ~iterations)
-  | [ _; "table5" ] -> with_pool (table5 ~iterations)
-  | [ _; "table6" ] -> with_pool (table6 ~iterations)
-  | [ _; "table7" ] -> with_pool (table7 ~iterations)
-  | [ _; "disaster" ] -> with_pool (fun ?pool () -> disaster ~wall:true ?pool ())
-  | [ _; "serve" ] -> with_pool (fun ?pool () -> serve ?pool ())
-  | [ _; "abortmodel" ] -> with_pool (abortmodel ~iterations)
-  | [ _; "lockfactor" ] -> with_pool (lockfactor ~iterations)
   | [ _; "costbenefit" ] -> costbenefit ~iterations ()
   | [ _; "ablations" ] -> ablations ~iterations ()
-  | [ _; "calibrate" ] -> calibrate ()
   | [ _; "fig3" ] -> fig3 ()
   | [ _; "speedup" ] ->
       (* the reference comparison point is 4 domains unless -j overrides *)
@@ -541,5 +347,10 @@ let () =
         match jobs_opt with Some j -> max j 2 | None -> max 4 jobs
       in
       speedup ~jobs ()
-  | [ _; "bechamel" ] -> bechamel_suite ()
+  | [ _; name ] -> (
+      match Tables.find name with
+      | Some e ->
+          let e = if name = "disaster" then with_wall_rows e else e in
+          with_pool (fun ?pool () -> emit ~iterations ?pool e)
+      | None -> usage ())
   | _ -> usage ()

@@ -2,8 +2,8 @@
 
    vino inspect GRAFT   show a builtin graft before/after MiSFIT rewriting,
                         its signature, and a cycle estimate
-   vino tables [TABLE]  regenerate the paper's tables (3..7, abortmodel,
-                        lockfactor)
+   vino tables [TABLE]  regenerate the evaluation's tables (3..7, disaster,
+                        serve, abortmodel, lockfactor, calibrate)
    vino disaster        seeded fault-injection campaign with post-recovery
                         invariant checks
    vino rules           Table 1 with the enforcing mechanism for each rule
@@ -456,38 +456,6 @@ let run_graft name args stub_imports =
       Printf.printf "simulated time including kernel services: %.1f us\n"
         (Vino_core.Kernel.now_us kernel)
 
-(* ------------------------------- tables ------------------------------- *)
-
-let run_table iterations = function
-  | "table3" ->
-      Vino_measure.Table.print ~title:"Table 3: read-ahead"
-        (Vino_measure.Sc_readahead.table ~iterations ())
-  | "table4" ->
-      Vino_measure.Table.print ~title:"Table 4: page eviction"
-        (Vino_measure.Sc_evict.table ~iterations ())
-  | "table5" ->
-      Vino_measure.Table.print ~title:"Table 5: scheduling"
-        (Vino_measure.Sc_sched.table ~iterations ())
-  | "table6" ->
-      Vino_measure.Table.print ~title:"Table 6: encryption"
-        (Vino_measure.Sc_crypt.table ~iterations ())
-  | "table7" ->
-      Vino_measure.Table.print ~title:"Table 7: abort costs"
-        (Vino_measure.Abort_model.table7 ~iterations ())
-  | "abortmodel" ->
-      Vino_measure.Table.print ~title:"Abort model (35 + 10L)"
-        (Vino_measure.Abort_model.model_table ~iterations ())
-  | "lockfactor" ->
-      Vino_measure.Table.print ~title:"Figures 4/5"
-        (Vino_measure.Lock_factor.table ~iterations ())
-  | other ->
-      Printf.eprintf "unknown table %S\n" other;
-      exit 1
-
-let all_tables =
-  [ "table3"; "table4"; "table5"; "table6"; "table7"; "abortmodel";
-    "lockfactor" ]
-
 (* ------------------------------ disaster ------------------------------ *)
 
 let disaster seed count costs jobs mode fork recheck strategy json =
@@ -510,10 +478,8 @@ let disaster seed count costs jobs mode fork recheck strategy json =
           (Vino_trace.Json.to_string (Vino_disaster.Campaign.to_json report))
       else Format.printf "%a@." Vino_disaster.Campaign.pp report;
       if costs then
-        Vino_measure.Table.print
-          ~title:"Disaster rig: recovery cost by fault class (stream site)"
-          ~notes:"Delta over the healthy row is detection + abort + removal."
-          (Vino_measure.Sc_disaster.table ?pool ());
+        Vino_measure.Tables.emit ?pool
+          (Option.get (Vino_measure.Tables.find "disaster"));
       if not (Vino_disaster.Campaign.ok report) then begin
         List.iter
           (Printf.eprintf "violation: %s\n")
@@ -862,12 +828,15 @@ let dump_cmd =
     Term.(const dump $ graft)
 
 let tables_cmd =
+  let module Tables = Vino_measure.Tables in
   let which =
     Arg.(
       value
       & pos 0 (some string) None
       & info [] ~docv:"TABLE"
-          ~doc:"table3..table7, abortmodel or lockfactor; all when omitted.")
+          ~doc:
+            ("One of " ^ String.concat ", " Tables.names
+           ^ "; all when omitted."))
   in
   let iterations =
     Arg.(
@@ -876,9 +845,18 @@ let tables_cmd =
   in
   let run iterations which mode =
     set_mode mode;
-    match which with
-    | Some t -> run_table iterations t
-    | None -> List.iter (run_table iterations) all_tables
+    let entries =
+      match which with
+      | None -> Tables.all
+      | Some name -> (
+          match Tables.find name with
+          | Some e -> [ e ]
+          | None ->
+              Printf.eprintf "tables: unknown table %S; try %s\n" name
+                (String.concat ", " Tables.names);
+              exit 2)
+    in
+    List.iter (Tables.emit ~iterations) entries
   in
   Cmd.v
     (Cmd.info "tables" ~doc:"Regenerate the paper's evaluation tables")

@@ -91,3 +91,38 @@ let time_abort t ?iterations ?indirection ?check_cost ?(before = fun _ -> ())
           (Vino_vm.Costs.us_of_cycles (Engine.now engine - !decided)))
   in
   Vino_sim.Stats.trimmed_mean aborts
+
+let path_table ?pool ~measure ~paper_elapsed ?indirection ~txn ~graft ~misfit
+    ~abort () =
+  let measured =
+    Vino_par.Pool.map_scoped ?pool (fun p -> (p, measure p)) Path.all
+  in
+  let value p = List.assoc p measured in
+  let row p =
+    Table.elapsed ?paper:(List.assoc_opt p paper_elapsed) (Path.name p)
+      (value p)
+  in
+  let inc ?paper label p q =
+    Table.overhead ?paper label (value q -. value p)
+  in
+  let indirection =
+    match indirection with
+    | Some paper -> [ inc ~paper "Indirection cost" Path.Base Path.Vino ]
+    | None -> []
+  in
+  (row Path.Base :: indirection)
+  @ [
+      row Path.Vino;
+      inc ~paper:(snd txn) (fst txn) Path.Vino Path.Null;
+      row Path.Null;
+      inc ~paper:(snd graft) (fst graft) Path.Null Path.Unsafe;
+      row Path.Unsafe;
+      inc ~paper:misfit "MiSFIT overhead" Path.Unsafe Path.Safe;
+      row Path.Safe;
+      inc "MiSFIT recovered by static verifier" Path.Safe Path.Verified;
+      row Path.Verified;
+      inc "Kcall-flow check (above Safe)" Path.Safe Path.FlowChecked;
+      row Path.FlowChecked;
+      inc ~paper:abort "Abort cost (above commit)" Path.Safe Path.Abort;
+      row Path.Abort;
+    ]

@@ -55,3 +55,25 @@ val time_abort :
     and return the trimmed mean in microseconds. [before k] runs ahead
     of iteration [k] (warmup included).
     @raise Failure unless every invocation rolls back. *)
+
+val path_table :
+  ?pool:Vino_par.Pool.t ->
+  measure:(Path.t -> float) ->
+  paper_elapsed:(Path.t * float) list ->
+  ?indirection:float ->
+  txn:string * float ->
+  graft:string * float ->
+  misfit:float ->
+  abort:float ->
+  unit ->
+  Table.row list
+(** The Figure-3 ladder shared by Tables 3-6: one elapsed row per
+    {!Path.t} in {!Path.all} order, each preceded by its incremental cost
+    over the step below. [measure] gives a path's elapsed microseconds and
+    [paper_elapsed] the paper's elapsed values. The increments take the
+    paper's value; [txn] (Vino to Null) and [graft] (Null to Unsafe) also
+    take their label. Without [indirection] the Base-to-Vino increment is
+    left out (Table 6 has none). The Verified and FlowChecked increments
+    are ours and carry no paper value. With [?pool], the per-path
+    measurements fan out across domains; rows are identical at any pool
+    size. *)

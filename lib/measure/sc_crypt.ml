@@ -118,30 +118,7 @@ let paper_elapsed =
   ]
 
 let table ?iterations ?pool () =
-  let measured =
-    Vino_par.Pool.map_scoped ?pool
-      (fun p -> (p, measure ?iterations p))
-      Path.all
-  in
-  let value p = List.assoc p measured in
-  let paper p = List.assoc_opt p paper_elapsed in
-  let row p = Table.elapsed ?paper:(paper p) (Path.name p) (value p) in
-  let inc label p q paper = Table.overhead ~paper label (value q -. value p) in
-  [
-    row Path.Base;
-    row Path.Vino;
-    inc "Txn begin+commit (+ cache misses)" Path.Vino Path.Null 88.;
-    row Path.Null;
-    inc "Graft function" Path.Null Path.Unsafe 166.;
-    row Path.Unsafe;
-    inc "MiSFIT overhead" Path.Unsafe Path.Safe 187.;
-    row Path.Safe;
-    Table.overhead "MiSFIT recovered by static verifier"
-      (value Path.Verified -. value Path.Safe);
-    row Path.Verified;
-    Table.overhead "Kcall-flow check (above Safe)"
-      (value Path.FlowChecked -. value Path.Safe);
-    row Path.FlowChecked;
-    inc "Abort cost (above commit)" Path.Safe Path.Abort 4.;
-    row Path.Abort;
-  ]
+  Rig.path_table ?pool ~measure:(measure ?iterations) ~paper_elapsed
+    ~txn:("Txn begin+commit (+ cache misses)", 88.)
+    ~graft:("Graft function", 166.)
+    ~misfit:187. ~abort:4. ()

@@ -135,33 +135,8 @@ let paper_elapsed =
   ]
 
 let table ?iterations ?pool () =
-  let measured =
-    Vino_par.Pool.map_scoped ?pool
-      (fun p -> (p, measure ?iterations p))
-      Path.all
-  in
-  let value p = List.assoc p measured in
-  let paper p = List.assoc_opt p paper_elapsed in
-  let rows p = Table.elapsed ?paper:(paper p) (Path.name p) (value p) in
-  let inc label p q paper =
-    Table.overhead ~paper label (value q -. value p)
-  in
-  [
-    rows Path.Base;
-    inc "Indirection cost" Path.Base Path.Vino 1.0;
-    rows Path.Vino;
-    inc "Txn begin+commit+null graft" Path.Vino Path.Null 65.5;
-    rows Path.Null;
-    inc "Lock overhead + graft function" Path.Null Path.Unsafe 37.0;
-    rows Path.Unsafe;
-    inc "MiSFIT overhead" Path.Unsafe Path.Safe 3.0;
-    rows Path.Safe;
-    Table.overhead "MiSFIT recovered by static verifier"
-      (value Path.Verified -. value Path.Safe);
-    rows Path.Verified;
-    Table.overhead "Kcall-flow check (above Safe)"
-      (value Path.FlowChecked -. value Path.Safe);
-    rows Path.FlowChecked;
-    inc "Abort cost (above commit)" Path.Safe Path.Abort 1.0;
-    rows Path.Abort;
-  ]
+  Rig.path_table ?pool ~measure:(measure ?iterations) ~paper_elapsed
+    ~indirection:1.0
+    ~txn:("Txn begin+commit+null graft", 65.5)
+    ~graft:("Lock overhead + graft function", 37.0)
+    ~misfit:3.0 ~abort:1.0 ()

@@ -142,31 +142,8 @@ let paper_elapsed =
   ]
 
 let table ?iterations ?pool () =
-  let measured =
-    Vino_par.Pool.map_scoped ?pool
-      (fun p -> (p, measure ?iterations p))
-      Path.all
-  in
-  let value p = List.assoc p measured in
-  let paper p = List.assoc_opt p paper_elapsed in
-  let row p = Table.elapsed ?paper:(paper p) (Path.name p) (value p) in
-  let inc label p q paper = Table.overhead ~paper label (value q -. value p) in
-  [
-    row Path.Base;
-    inc "Indirection cost" Path.Base Path.Vino 1.;
-    row Path.Vino;
-    inc "Txn begin+commit+null graft" Path.Vino Path.Null 76.;
-    row Path.Null;
-    inc "Lock + graft function + check" Path.Null Path.Unsafe 72.;
-    row Path.Unsafe;
-    inc "MiSFIT overhead" Path.Unsafe Path.Safe 5.;
-    row Path.Safe;
-    Table.overhead "MiSFIT recovered by static verifier"
-      (value Path.Verified -. value Path.Safe);
-    row Path.Verified;
-    Table.overhead "Kcall-flow check (above Safe)"
-      (value Path.FlowChecked -. value Path.Safe);
-    row Path.FlowChecked;
-    inc "Abort cost (above commit)" Path.Safe Path.Abort 3.;
-    row Path.Abort;
-  ]
+  Rig.path_table ?pool ~measure:(measure ?iterations) ~paper_elapsed
+    ~indirection:1.
+    ~txn:("Txn begin+commit+null graft", 76.)
+    ~graft:("Lock + graft function + check", 72.)
+    ~misfit:5. ~abort:3. ()

@@ -19,8 +19,8 @@
 
    The paper grafts, the serve handlers and long straight-line blocks
    run through the same comparison at every poll interval from 1 to 33.
-   A final golden test renders Tables 3-7 to JSON under both execution
-   modes and requires the bytes to be identical. *)
+   A final golden test renders every table of Vino_measure.Tables to JSON
+   under both execution modes and requires the bytes to be identical. *)
 
 module Insn = Vino_vm.Insn
 module Cpu = Vino_vm.Cpu
@@ -657,7 +657,7 @@ let test_translation_shape () =
         (Array.length (Jit.source t))
 
 (* ------------------------------------------------------------------ *)
-(* Golden test: Tables 3-7 under both modes                            *)
+(* Golden test: every registry table under both modes                  *)
 (* ------------------------------------------------------------------ *)
 
 let with_mode m f =
@@ -665,26 +665,23 @@ let with_mode m f =
   Jit.default_mode := m;
   Fun.protect ~finally:(fun () -> Jit.default_mode := old) f
 
+(* Every registry entry, notes included: Table 4's notes measure the
+   agreement case, so they are part of the cross-mode check. *)
 let render_tables () =
-  let tables =
-    [
-      ("table3", Vino_measure.Sc_readahead.table ~iterations:2 ());
-      ("table4", Vino_measure.Sc_evict.table ~iterations:2 ());
-      ("table5", Vino_measure.Sc_sched.table ~iterations:2 ());
-      ("table6", Vino_measure.Sc_crypt.table ~iterations:2 ());
-      ("table7", Vino_measure.Abort_model.table7 ~iterations:2 ());
-    ]
-  in
   String.concat "\n"
     (List.map
-       (fun (name, rows) ->
-         Json.to_string (Table.to_json ~name ~title:name rows))
-       tables)
+       (fun (e : Vino_measure.Tables.entry) ->
+         let notes = Option.value ~default:"" (e.notes ~iterations:2 ()) in
+         notes ^ "\n"
+         ^ Json.to_string
+             (Table.to_json ~name:e.name ~title:e.title
+                (e.rows ~iterations:2 ())))
+       Vino_measure.Tables.all)
 
 let test_tables_golden () =
   let interp = with_mode Jit.Interp render_tables in
   let translated = with_mode Jit.Translated render_tables in
-  Alcotest.(check string) "tables 3-7 byte-identical" interp translated
+  Alcotest.(check string) "every table byte-identical" interp translated
 
 (* ------------------------------------------------------------------ *)
 (* Translation cache: proof-hash keying, concurrency, digest rendering *)
@@ -811,7 +808,7 @@ let suite =
         Alcotest.test_case "out-of-range register fallback" `Quick
           test_bad_register_fallback;
         Alcotest.test_case "translation shape" `Quick test_translation_shape;
-        Alcotest.test_case "tables 3-7 golden across modes" `Quick
+        Alcotest.test_case "every registry table golden across modes" `Quick
           test_tables_golden;
         Alcotest.test_case "cache keyed by digest + proof hash" `Quick
           test_cache_proof_key;

@@ -194,6 +194,17 @@ let test_probe_timing_exact () =
   Alcotest.(check (float 0.001)) "deterministic: zero deviation" 0.
     (Vino_sim.Stats.trimmed_stddev stats)
 
+(* The registry is the one list of tables; the gated entries are exactly
+   the BENCH_<name>.json files CI byte-diffs and bench/gate.exe checks. *)
+let test_table_registry () =
+  let names = Tables.names in
+  Alcotest.(check int) "names are unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  Alcotest.(check (list string)) "gated entries are the BENCH_*.json set"
+    [ "table3"; "table4"; "table5"; "table6"; "table7"; "disaster"; "serve" ]
+    (List.map (fun (e : Tables.entry) -> e.name) Tables.gated);
+  Alcotest.(check bool) "unknown name" true (Tables.find "bogus" = None)
+
 let prop_parser_never_crashes =
   QCheck2.Test.make ~name:"parser never raises on garbage" ~count:300
     QCheck2.Gen.(string_size ~gen:printable (int_range 0 120))
@@ -221,6 +232,8 @@ let suite =
           test_table_support;
         Alcotest.test_case "probe timing is exact" `Quick
           test_probe_timing_exact;
+        Alcotest.test_case "table registry names and gated set" `Quick
+          test_table_registry;
         QCheck_alcotest.to_alcotest prop_parser_never_crashes;
       ] );
   ]

@@ -89,12 +89,10 @@ let render_tables pool =
   let sink = Trace.create () in
   let rows =
     Trace.with_t sink (fun () ->
-        [
-          ("table3", M.Sc_readahead.table ~iterations:2 ?pool ());
-          ("table6", M.Sc_crypt.table ~iterations:2 ?pool ());
-          ("table7", M.Abort_model.table7 ~iterations:2 ?pool ());
-          ("disaster", M.Sc_disaster.table ?pool ());
-        ])
+        List.map
+          (fun (e : M.Tables.entry) ->
+            (e.name, e.rows ~iterations:2 ?pool ()))
+          M.Tables.gated)
   in
   String.concat "\n"
     (List.map
