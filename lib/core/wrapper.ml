@@ -63,7 +63,7 @@ let env ?flow kernel ~txn ~cred ~limits =
 let default_slice = 10_000
 let default_budget = 1_000_000_000
 
-let exec kernel ~txn ~cred ~limits ~seg ~code ?flow ?trans ?mode
+let exec kernel ~txn ~cred ~limits ~seg ~code ~flow ~trans
     ?(slice = default_slice) ?(budget = default_budget) ~setup () =
   let cpu =
     Cpu.make ~mem:kernel.Kernel.mem ~seg ~costs:kernel.Kernel.vm_costs ()
@@ -73,20 +73,16 @@ let exec kernel ~txn ~cred ~limits ~seg ~code ?flow ?trans ?mode
      with enforcement off, no check is installed at all. *)
   let flow =
     if kernel.Kernel.flow_enforce then
-      match kernel.Kernel.flow_pin with Some t -> Some t | None -> flow
+      match kernel.Kernel.flow_pin with Some t -> Some t | None -> Some flow
     else None
   in
   let e = env ?flow kernel ~txn:(Some txn) ~cred ~limits in
-  let mode =
-    match mode with Some m -> m | None -> kernel.Kernel.exec_mode
-  in
   (* Each slice resumes from the cpu's saved pc, so the step function must
      handle mid-block entry — {!Vino_vm.Jit.run} does. *)
   let step =
-    match (mode, trans) with
-    | Vino_vm.Jit.Translated, Some tr -> fun () -> Vino_vm.Jit.run e cpu tr
-    | Vino_vm.Jit.Translated, None | Vino_vm.Jit.Interp, _ ->
-        fun () -> Cpu.run e cpu code
+    match kernel.Kernel.exec_mode with
+    | Vino_vm.Jit.Translated -> fun () -> Vino_vm.Jit.run e cpu trans
+    | Vino_vm.Jit.Interp -> fun () -> Cpu.run e cpu code
   in
   let synced = ref 0 in
   let sync () =

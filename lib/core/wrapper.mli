@@ -37,9 +37,8 @@ val exec :
   limits:Vino_txn.Rlimit.t ->
   seg:Vino_vm.Mem.segment ->
   code:Vino_vm.Insn.t array ->
-  ?flow:Vino_verify.Kflow.table ->
-  ?trans:Vino_vm.Jit.t ->
-  ?mode:Vino_vm.Jit.mode ->
+  flow:Vino_verify.Kflow.table ->
+  trans:Vino_vm.Jit.t ->
   ?slice:int ->
   ?budget:int ->
   setup:(Vino_vm.Cpu.t -> unit) ->
@@ -48,10 +47,9 @@ val exec :
 (** Must run inside an engine process. Advances the virtual clock by every
     cycle the graft consumes.
 
-    [mode] (default: the kernel's [exec_mode]) selects the step function:
-    [Translated] runs the closure-threaded [trans] when one is supplied,
-    falling back to the interpreter otherwise; [Interp] always interprets
-    [code]. Both produce bit-identical cpu state and outcomes.
+    The kernel's [exec_mode] selects the step function: [Translated] runs
+    [trans], the closure-threaded translation of [code]; [Interp]
+    interprets [code]. Both produce bit-identical cpu state and outcomes.
 
     [flow] is the graft's kcall-flow table; it is enforced only when the
     kernel's [flow_enforce] is set, and [Kernel.flow_pin] (an attested

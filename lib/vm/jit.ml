@@ -28,12 +28,14 @@
    [cost]) and [since_poll + len <= poll_every] (no intermediate
    instruction could have reached a poll point). Within the body,
    instructions that cannot fault or observe the machine accumulate
-   their cycle/instruction counts statically; any instruction that can
-   fault, stop, or hand the cpu to kernel code (memory access, Div/Rem,
-   Checkcall, Kcall, every terminator) first flushes the accumulated
-   counts and stores its own pc, so the architectural state at every
-   observable point — fault, abort, kernel call — is exactly what the
-   interpreter would expose.
+   their cycle/instruction/access/sandbox counts statically; any
+   instruction that can fault, stop, or hand the cpu to kernel code
+   (memory access, Div/Rem, Checkcall, Kcall, every terminator) first
+   adds the accumulated counts and its own charge through the one
+   function {!flush} and stores its own pc, so the architectural state
+   at every observable point — fault, abort, kernel call — is exactly
+   what the interpreter would expose. Each fused shape is detected once
+   per compiled pc ({!shape_at}).
 
    Careful path. When an entry condition fails (a poll point or the fuel
    limit falls inside the tail), the driver executes one instruction
@@ -210,7 +212,6 @@ type confined = {
   c_stop : int;  (* first pc after the group *)
 }
 
-
 let alu_parts : Insn.t -> (int * int * int * int * bool) option
     = function
   | Alu (op, rd, ra, rb) -> (
@@ -223,68 +224,101 @@ let alu_parts : Insn.t -> (int * int * int * int * bool) option
       | None -> None)
   | _ -> None
 
+(* An optional fused ALU op as (opcode, rd, ra, operand, is_immediate),
+   with opcode -1 when there is none. *)
+let alu_slot = function Some parts -> parts | None -> (-1, 0, 0, 0, false)
+
+(* The instruction at [k], or [Halt] (which matches no group pattern)
+   past [stop]. *)
+let insn_at prog ~stop k : Insn.t = if k < stop then prog.(k) else Halt
+
 let confined_at prog ~safe_at ~stop pc : confined option =
   let pre, p =
-    if pc + 1 < stop then
-      match alu_parts prog.(pc) with
-      | Some parts -> (Some parts, pc + 1)
-      | None -> (None, pc)
-    else (None, pc)
+    match alu_parts prog.(pc) with
+    | Some parts when pc + 1 < stop -> (Some parts, pc + 1)
+    | _ -> (None, pc)
   in
   let core =
-    if p + 2 < stop then
-      match ((prog.(p) : Insn.t), prog.(p + 1), prog.(p + 2)) with
-      | Mov (ra, rs), Sandbox a, (Ld (_, b, 0) | St (_, b, 0))
-        when a = ra && b = ra ->
-          Some (p + 1, ra, rs, 0, p + 2)
-      | _ -> None
-    else None
-  in
-  let core =
-    match core with
-    | Some _ -> core
-    | None ->
-        if p + 1 < stop then
-          match ((prog.(p) : Insn.t), prog.(p + 1)) with
-          | Sandbox rs, (Ld (_, b, 0) | St (_, b, 0)) when b = rs ->
-              Some (p, rs, rs, 0, p + 1)
-          | _ -> None
-        else None
-  in
-  let core =
+    match
+      (insn_at prog ~stop p, insn_at prog ~stop (p + 1),
+       insn_at prog ~stop (p + 2))
+    with
+    | Mov (ra, rs), Sandbox a, (Ld (_, b, 0) | St (_, b, 0))
+      when a = ra && b = ra ->
+        Some (p + 1, ra, rs, 0, p + 2)
+    | Sandbox rs, (Ld (_, b, 0) | St (_, b, 0)), _ when b = rs ->
+        Some (p, rs, rs, 0, p + 1)
     (* A proof-elided access needs no sandbox: the bare [Ld]/[St] itself
        is the core, at whatever base/offset the verified code uses. *)
-    match core with
-    | Some _ -> core
-    | None ->
-        if p < stop then
-          match (prog.(p) : Insn.t) with
-          | (Ld (_, b, off) | St (_, b, off)) when safe_at p ->
-              Some (-1, b, b, off, p)
-          | _ -> None
-        else None
+    | (Ld (_, b, off) | St (_, b, off)), _, _ when safe_at p ->
+        Some (-1, b, b, off, p)
+    | _ -> None
   in
   match core with
   | None -> None
   | Some (c_sb, c_dst, c_src, c_off, c_acc) ->
-      let c_tail =
-        (* after a load the tail ALU typically consumes the datum; after
-           a store it is the loop bookkeeping (index increment) — either
-           way it is straight-line and non-faulting, so it rides along *)
-        if c_acc + 1 < stop then alu_parts prog.(c_acc + 1) else None
-      in
+      (* after a load the tail ALU typically consumes the datum; after a
+         store it is the loop bookkeeping (index increment) — either way
+         it is straight-line and non-faulting, so it rides along *)
+      let c_tail = alu_parts (insn_at prog ~stop (c_acc + 1)) in
       let c_stop = c_acc + 1 + match c_tail with Some _ -> 1 | None -> 0 in
       Some { c_pre = pre; c_sb; c_dst; c_src; c_off; c_acc; c_tail; c_stop }
 
+(* The fused shape at a pc, detected once per compiled pc. *)
+type shape =
+  | Pass of confined * confined * int
+      (* transform-loop pass at a [Br]: two access groups, then a
+         loop-closing [Jmp] to the int *)
+  | Group of confined
+  | Single
+
+let shape_at prog ~safe_at ~stop pc =
+  match (prog.(pc) : Insn.t) with
+  | Alu _ | Alui _ | Mov _ | Sandbox _ | Ld _ | St _ -> (
+      match confined_at prog ~safe_at ~stop pc with
+      | Some c -> Group c
+      | None -> Single)
+  | Br _ when pc + 1 < stop -> (
+      match confined_at prog ~safe_at ~stop (pc + 1) with
+      | Some g1 when g1.c_stop < stop - 1 -> (
+          match confined_at prog ~safe_at ~stop g1.c_stop with
+          | Some g2 when g2.c_stop = stop - 1 -> (
+              match (prog.(g2.c_stop) : Insn.t) with
+              | Jmp target -> Pass (g1, g2, target)
+              | _ -> Single)
+          | _ -> Single)
+      | _ -> Single)
+  | _ -> Single
+
+(* The static cycle cost of instructions [lo, hi). *)
+let sum_cost costs prog lo hi =
+  let c = ref 0 in
+  for m = lo to hi - 1 do
+    c := !c + Costs.insn costs prog.(m)
+  done;
+  !c
+
+(* The one charge rule of compiled bodies. Before anything that can
+   fault, stop or observe the machine, the pending counts are added to
+   the cpu: sandbox cycles [ps], and cycles [dc], instructions [di] and
+   memory accesses [da], each of the last three already including the
+   flushing instruction's own charge (the interpreter charges an
+   instruction before executing it). *)
+let[@inline] flush (t : Cpu.t) ps dc di da =
+  if ps <> 0 then t.sandbox_cy <- t.sandbox_cy + ps;
+  t.cycles <- t.cycles + dc;
+  t.insns <- t.insns + di;
+  t.accesses <- t.accesses + da
+
 (* Compile instructions [start, stop) into one closure chain. [pend_c] /
-   [pend_i] / [pend_a] are cycles/instructions/memory-accesses executed
-   since the last flush; they are added to the cpu before anything that
-   can fault, stop or observe it, together with that instruction's own
-   charge (the interpreter charges an instruction before executing it).
-   [safe_at pc] holds when a carried verification proof guarantees the
-   access at [pc] cannot fault: such a [Ld]/[St] is compiled like any
-   other non-faulting straight-line instruction — no flush, no pc store —
-   and its access count joins the pending accumulator. *)
+   [pend_i] / [pend_a] / [pend_s] are cycles, instructions, memory
+   accesses and sandbox cycles executed since the last {!flush}; every
+   instruction that can fault, stop or observe the cpu flushes them with
+   its own charge and stores its own pc first. [safe_at pc] holds when a
+   carried verification proof guarantees the access at [pc] cannot
+   fault: such a [Ld]/[St] is compiled like any other non-faulting
+   straight-line instruction — no flush, no pc store — and its access
+   count joins the pending accumulator. *)
 (* Compiled bodies index the register file with compile-time register
    numbers that [translate] validates up front (a program that fails
    validation is never run translated — see [regs_ok]), and the program
@@ -319,32 +353,22 @@ module Fast_body = struct
   let rec comp pc pend_c pend_i pend_a pend_s : ctx -> int =
     if pc >= stop then
       fun ctx ->
-        let t : Cpu.t = ctx.cpu in
-        if pend_s <> 0 then t.sandbox_cy <- t.sandbox_cy + pend_s;
-        t.cycles <- t.cycles + pend_c;
-        t.insns <- t.insns + pend_i;
-        t.accesses <- t.accesses + pend_a;
+        flush ctx.cpu pend_s pend_c pend_i pend_a;
         pc
     else
-      let own = cost_of pc in
       let next = pc + 1 in
-      match (prog.(pc) : Insn.t) with
+      let i : Insn.t = prog.(pc) in
+      let own = cost_of pc in
+      (* The pending counts plus this instruction's own charge: what a
+         flush here adds, or what stays pending after it. *)
+      let dc = pend_c + own
+      and di = pend_i + 1
+      and da =
+        match i with Ld _ | St _ | Push _ | Pop _ -> pend_a + 1 | _ -> pend_a
+      in
+      match (shape_at prog ~safe_at ~stop pc, i) with
       (* ---- fused superinstructions ---- *)
-      | Br (bc, bra, brb, btarget)
-        when next < stop
-             && (match confined_at prog ~safe_at ~stop next with
-                | Some g1 -> (
-                    g1.c_stop < stop - 1
-                    &&
-                    match confined_at prog ~safe_at ~stop g1.c_stop with
-                    | Some g2 -> (
-                        g2.c_stop = stop - 1
-                        &&
-                        match prog.(g2.c_stop) with
-                        | Jmp _ -> true
-                        | _ -> false)
-                    | None -> false)
-                | None -> false) -> (
+      | Pass (g1, g2, jtarget), Br (bc, bra, brb, btarget) -> (
           (* The complete rhythm of a transform loop — guard branch, two
              access groups (load side, store side), loop-closing jump —
              as one closure. Both groups are non-faulting (confined or
@@ -352,46 +376,19 @@ module Fast_body = struct
              branch test and the jump's flush can observe the machine:
              one flush at the jump covers the whole pass. The taken
              branch exits early exactly like an inline [Br]. *)
-          let g1 = Option.get (confined_at prog ~safe_at ~stop next) in
-          let g2 = Option.get (confined_at prog ~safe_at ~stop g1.c_stop) in
-          let jpc = g2.c_stop in
-          let jtarget =
-            match (prog.(jpc) : Insn.t) with
-            | Jmp target -> target
-            | _ -> assert false
-          in
           fused := !fused + (stop - pc - 1);
           if g1.c_sb < 0 then incr elided;
           if g2.c_sb < 0 then incr elided;
-          let seg_cost lo hi =
-            let c = ref 0 in
-            for m = lo to hi - 1 do
-              c := !c + cost_of m
-            done;
-            !c
-          in
           let cmp = cond_fn bc in
-          let dc_br = pend_c + own
-          and di_br = pend_i + 1
-          and da_br = pend_a in
           let back = stop - next + extra_back in
-          let sb1 = if g1.c_sb < 0 then 0 else cost_of g1.c_sb in
-          let sb2 = if g2.c_sb < 0 then 0 else cost_of g2.c_sb in
-          let dc = pend_c + seg_cost pc stop
-          and di = pend_i + (stop - pc)
-          and da = pend_a + 2 in
-          let ps = pend_s + sb1 + sb2 in
+          let pass_c = pend_c + sum_cost costs prog pc stop
+          and pass_i = pend_i + (stop - pc)
+          and pass_a = pend_a + 2 in
+          let sb (g : confined) = if g.c_sb < 0 then 0 else cost_of g.c_sb in
+          let ps = pend_s + sb g1 + sb g2 in
           let part (g : confined) =
-            let pre_o, pre_d, pre_a, pre_x, pre_imm =
-              match g.c_pre with
-              | Some (f, d, a, x, im) -> (f, d, a, x, im)
-              | None -> (-1, 0, 0, 0, false)
-            in
-            let tl_o, tl_d, tl_a, tl_x, tl_imm =
-              match g.c_tail with
-              | Some (f, d, a, x, im) -> (f, d, a, x, im)
-              | None -> (-1, 0, 0, 0, false)
-            in
+            let pre_o, pre_d, pre_a, pre_x, pre_imm = alu_slot g.c_pre in
+            let tl_o, tl_d, tl_a, tl_x, tl_imm = alu_slot g.c_tail in
             let is_ld, rw =
               match (prog.(g.c_acc) : Insn.t) with
               | Ld (rd, _, _) -> (true, rd)
@@ -438,11 +435,7 @@ module Fast_body = struct
               r.(q2d) <- eval_opc q2o r.(q2a) (if q2i then q2x else r.(q2x))
           in
           let taken ctx =
-            let t : Cpu.t = ctx.cpu in
-            if pend_s <> 0 then t.sandbox_cy <- t.sandbox_cy + pend_s;
-            t.cycles <- t.cycles + dc_br;
-            t.insns <- t.insns + di_br;
-            t.accesses <- t.accesses + da_br;
+            flush ctx.cpu pend_s dc di da;
             ctx.back <- back;
             btarget
           in
@@ -453,17 +446,14 @@ module Fast_body = struct
                 if cmp t.regs.(bra) t.regs.(brb) then taken ctx
                 else begin
                   effects ctx;
-                  if ps <> 0 then t.sandbox_cy <- t.sandbox_cy + ps;
-                  t.cycles <- t.cycles + dc;
-                  t.insns <- t.insns + di;
-                  t.accesses <- t.accesses + da;
+                  flush t ps pass_c pass_i pass_a;
                   jtarget
                 end
           | Some kont ->
               (* The whole pass's counts ride into the next copy's
                  pending accumulators: nothing between here and the
                  chain's next flush point can observe the machine. *)
-              let g = kont dc di da ps in
+              let g = kont pass_c pass_i pass_a ps in
               (* The canonical transform-loop pass — [Ge] guard on the
                  index, address = base + index on both sides, a datum
                  op after the load, the index advance after the store —
@@ -520,8 +510,7 @@ module Fast_body = struct
                     effects ctx;
                     g ctx
                   end)
-      | (Alu _ | Alui _ | Mov _ | Sandbox _ | Ld _ | St _)
-        when Option.is_some (confined_at prog ~safe_at ~stop pc) -> (
+      | Group c, _ -> (
           (* An access-group superinstruction (see {!confined_at}): the
              accessed address is the just-sandboxed register at offset 0,
              so it is inside the segment by construction — or the access
@@ -538,407 +527,287 @@ module Fast_body = struct
              as the interpreter would, so the whole compute/sandbox/
              access/consume rhythm of a MiSFIT (or verified) loop body is
              one closure. *)
-          match confined_at prog ~safe_at ~stop pc with
-          | None -> assert false
-          | Some c ->
-              let count = c.c_stop - pc in
-              fused := !fused + (count - 1);
-              if c.c_sb < 0 then incr elided;
-              let cost = ref 0 in
-              for m = pc to c.c_stop - 1 do
-                cost := !cost + cost_of m
-              done;
-              let sb = if c.c_sb < 0 then 0 else cost_of c.c_sb in
-              let pend_c = pend_c + !cost
-              and pend_i = pend_i + count
-              and pend_a = pend_a + 1 in
-              let ps = pend_s + sb in
-              let has_pre, o1, d1, a1, x1, imm1 =
-                match c.c_pre with
-                | Some (f, d, a, x, im) -> (true, f, d, a, x, im)
-                | None -> (false, 0, 0, 0, 0, false)
+          let count = c.c_stop - pc in
+          fused := !fused + (count - 1);
+          if c.c_sb < 0 then incr elided;
+          let pend_c = pend_c + sum_cost costs prog pc c.c_stop
+          and pend_i = pend_i + count
+          and pend_a = pend_a + 1 in
+          let ps = pend_s + if c.c_sb < 0 then 0 else cost_of c.c_sb in
+          let o1, d1, a1, x1, imm1 = alu_slot c.c_pre in
+          let o2, d2, a2, x2, imm2 = alu_slot c.c_tail in
+          let dst = c.c_dst and src = c.c_src in
+          (* A loop-closing [Jmp] right after the group fuses too:
+             the flush it would perform moves into the confined
+             closure, which then hands the branch target straight
+             back to the driver — one closure for the whole
+             compute/sandbox/access/advance/jump rhythm. *)
+          let jmp_target =
+            if c.c_stop = stop - 1 then
+              match (prog.(c.c_stop) : Insn.t) with
+              | Jmp target -> Some target
+              | _ -> None
+            else None
+          in
+          let bare = c.c_sb < 0 in
+          let off = c.c_off in
+          match ((prog.(c.c_acc) : Insn.t), jmp_target) with
+          | Ld (rd, _, _), None when not bare ->
+              let after = comp c.c_stop pend_c pend_i pend_a ps in
+              fun ctx ->
+                let t : Cpu.t = ctx.cpu in
+                let r = t.regs in
+                if o1 >= 0 then
+                  r.(d1) <- eval_opc o1 r.(a1) (if imm1 then x1 else r.(x1));
+                let x = Mem.sandbox t.seg r.(src) in
+                r.(dst) <- x;
+                r.(rd) <- Mem.unsafe_load t.mem x;
+                if o2 >= 0 then
+                  r.(d2) <- eval_opc o2 r.(a2) (if imm2 then x2 else r.(x2));
+                after ctx
+          | St (rv, _, _), None when not bare ->
+              let after = comp c.c_stop pend_c pend_i pend_a ps in
+              fun ctx ->
+                let t : Cpu.t = ctx.cpu in
+                let r = t.regs in
+                if o1 >= 0 then
+                  r.(d1) <- eval_opc o1 r.(a1) (if imm1 then x1 else r.(x1));
+                let x = Mem.sandbox t.seg r.(src) in
+                r.(dst) <- x;
+                Mem.unsafe_store t.mem x r.(rv);
+                if o2 >= 0 then
+                  r.(d2) <- eval_opc o2 r.(a2) (if imm2 then x2 else r.(x2));
+                after ctx
+          | Ld (rd, _, _), None ->
+              let after = comp c.c_stop pend_c pend_i pend_a ps in
+              fun ctx ->
+                let t : Cpu.t = ctx.cpu in
+                let r = t.regs in
+                if o1 >= 0 then
+                  r.(d1) <- eval_opc o1 r.(a1) (if imm1 then x1 else r.(x1));
+                r.(rd) <- Mem.load t.mem (r.(src) + off);
+                if o2 >= 0 then
+                  r.(d2) <- eval_opc o2 r.(a2) (if imm2 then x2 else r.(x2));
+                after ctx
+          | St (rv, _, _), None ->
+              let after = comp c.c_stop pend_c pend_i pend_a ps in
+              fun ctx ->
+                let t : Cpu.t = ctx.cpu in
+                let r = t.regs in
+                if o1 >= 0 then
+                  r.(d1) <- eval_opc o1 r.(a1) (if imm1 then x1 else r.(x1));
+                Mem.store t.mem (r.(src) + off) r.(rv);
+                if o2 >= 0 then
+                  r.(d2) <- eval_opc o2 r.(a2) (if imm2 then x2 else r.(x2));
+                after ctx
+          | Ld (rd, _, _), Some target ->
+              incr fused;
+              let jc = pend_c + cost_of c.c_stop and ji = pend_i + 1 in
+              let effects ctx =
+                let t : Cpu.t = ctx.cpu in
+                let r = t.regs in
+                if o1 >= 0 then
+                  r.(d1) <- eval_opc o1 r.(a1) (if imm1 then x1 else r.(x1));
+                if bare then r.(rd) <- Mem.load t.mem (r.(src) + off)
+                else begin
+                  let x = Mem.sandbox t.seg r.(src) in
+                  r.(dst) <- x;
+                  r.(rd) <- Mem.unsafe_load t.mem x
+                end;
+                if o2 >= 0 then
+                  r.(d2) <- eval_opc o2 r.(a2) (if imm2 then x2 else r.(x2))
               in
-              let has_tail, o2, d2, a2, x2, imm2 =
-                match c.c_tail with
-                | Some (f, d, a, x, im) -> (true, f, d, a, x, im)
-                | None -> (false, 0, 0, 0, 0, false)
+              (match chain with
+              | None ->
+                  fun ctx ->
+                    effects ctx;
+                    flush ctx.cpu ps jc ji pend_a;
+                    target
+              | Some kont ->
+                  let g = kont jc ji pend_a ps in
+                  fun ctx ->
+                    effects ctx;
+                    g ctx)
+          | St (rv, _, _), Some target ->
+              incr fused;
+              let jc = pend_c + cost_of c.c_stop and ji = pend_i + 1 in
+              let effects ctx =
+                let t : Cpu.t = ctx.cpu in
+                let r = t.regs in
+                if o1 >= 0 then
+                  r.(d1) <- eval_opc o1 r.(a1) (if imm1 then x1 else r.(x1));
+                if bare then Mem.store t.mem (r.(src) + off) r.(rv)
+                else begin
+                  let x = Mem.sandbox t.seg r.(src) in
+                  r.(dst) <- x;
+                  Mem.unsafe_store t.mem x r.(rv)
+                end;
+                if o2 >= 0 then
+                  r.(d2) <- eval_opc o2 r.(a2) (if imm2 then x2 else r.(x2))
               in
-              let dst = c.c_dst and src = c.c_src in
-              (* A loop-closing [Jmp] right after the group fuses too:
-                 the flush it would perform moves into the confined
-                 closure, which then hands the branch target straight
-                 back to the driver — one closure for the whole
-                 compute/sandbox/access/advance/jump rhythm. *)
-              let jmp_target =
-                if c.c_stop = stop - 1 then
-                  match (prog.(c.c_stop) : Insn.t) with
-                  | Jmp target -> Some target
-                  | _ -> None
-                else None
-              in
-              let bare = c.c_sb < 0 in
-              let off = c.c_off in
-              match ((prog.(c.c_acc) : Insn.t), jmp_target) with
-              | Ld (rd, _, _), None when not bare ->
-                  let after = comp c.c_stop pend_c pend_i pend_a ps in
+              (match chain with
+              | None ->
                   fun ctx ->
-                    let t : Cpu.t = ctx.cpu in
-                    let r = t.regs in
-                    if has_pre then
-                      r.(d1) <- eval_opc o1 r.(a1) (if imm1 then x1 else r.(x1));
-                    let x = Mem.sandbox t.seg r.(src) in
-                    r.(dst) <- x;
-                    r.(rd) <- Mem.unsafe_load t.mem x;
-                    if has_tail then
-                      r.(d2) <- eval_opc o2 r.(a2) (if imm2 then x2 else r.(x2));
-                    after ctx
-              | St (rv, _, _), None when not bare ->
-                  let after = comp c.c_stop pend_c pend_i pend_a ps in
+                    effects ctx;
+                    flush ctx.cpu ps jc ji pend_a;
+                    target
+              | Some kont ->
+                  let g = kont jc ji pend_a ps in
                   fun ctx ->
-                    let t : Cpu.t = ctx.cpu in
-                    let r = t.regs in
-                    if has_pre then
-                      r.(d1) <- eval_opc o1 r.(a1) (if imm1 then x1 else r.(x1));
-                    let x = Mem.sandbox t.seg r.(src) in
-                    r.(dst) <- x;
-                    Mem.unsafe_store t.mem x r.(rv);
-                    if has_tail then
-                      r.(d2) <- eval_opc o2 r.(a2) (if imm2 then x2 else r.(x2));
-                    after ctx
-              | Ld (rd, _, _), None ->
-                  let after = comp c.c_stop pend_c pend_i pend_a ps in
-                  fun ctx ->
-                    let t : Cpu.t = ctx.cpu in
-                    let r = t.regs in
-                    if has_pre then
-                      r.(d1) <- eval_opc o1 r.(a1) (if imm1 then x1 else r.(x1));
-                    r.(rd) <- Mem.load t.mem (r.(src) + off);
-                    if has_tail then
-                      r.(d2) <- eval_opc o2 r.(a2) (if imm2 then x2 else r.(x2));
-                    after ctx
-              | St (rv, _, _), None ->
-                  let after = comp c.c_stop pend_c pend_i pend_a ps in
-                  fun ctx ->
-                    let t : Cpu.t = ctx.cpu in
-                    let r = t.regs in
-                    if has_pre then
-                      r.(d1) <- eval_opc o1 r.(a1) (if imm1 then x1 else r.(x1));
-                    Mem.store t.mem (r.(src) + off) r.(rv);
-                    if has_tail then
-                      r.(d2) <- eval_opc o2 r.(a2) (if imm2 then x2 else r.(x2));
-                    after ctx
-              | Ld (rd, _, _), Some target ->
-                  incr fused;
-                  let dc = pend_c + cost_of c.c_stop
-                  and di = pend_i + 1
-                  and da = pend_a in
-                  let effects ctx =
-                    let t : Cpu.t = ctx.cpu in
-                    let r = t.regs in
-                    if has_pre then
-                      r.(d1) <- eval_opc o1 r.(a1) (if imm1 then x1 else r.(x1));
-                    if bare then r.(rd) <- Mem.load t.mem (r.(src) + off)
-                    else begin
-                      let x = Mem.sandbox t.seg r.(src) in
-                      r.(dst) <- x;
-                      r.(rd) <- Mem.unsafe_load t.mem x
-                    end;
-                    if has_tail then
-                      r.(d2) <- eval_opc o2 r.(a2) (if imm2 then x2 else r.(x2))
-                  in
-                  (match chain with
-                  | None ->
-                      fun ctx ->
-                        effects ctx;
-                        let t : Cpu.t = ctx.cpu in
-                        if ps <> 0 then t.sandbox_cy <- t.sandbox_cy + ps;
-                        t.cycles <- t.cycles + dc;
-                        t.insns <- t.insns + di;
-                        t.accesses <- t.accesses + da;
-                        target
-                  | Some kont ->
-                      let g = kont dc di da ps in
-                      fun ctx ->
-                        effects ctx;
-                        g ctx)
-              | St (rv, _, _), Some target ->
-                  incr fused;
-                  let dc = pend_c + cost_of c.c_stop
-                  and di = pend_i + 1
-                  and da = pend_a in
-                  let effects ctx =
-                    let t : Cpu.t = ctx.cpu in
-                    let r = t.regs in
-                    if has_pre then
-                      r.(d1) <- eval_opc o1 r.(a1) (if imm1 then x1 else r.(x1));
-                    if bare then Mem.store t.mem (r.(src) + off) r.(rv)
-                    else begin
-                      let x = Mem.sandbox t.seg r.(src) in
-                      r.(dst) <- x;
-                      Mem.unsafe_store t.mem x r.(rv)
-                    end;
-                    if has_tail then
-                      r.(d2) <- eval_opc o2 r.(a2) (if imm2 then x2 else r.(x2))
-                  in
-                  (match chain with
-                  | None ->
-                      fun ctx ->
-                        effects ctx;
-                        let t : Cpu.t = ctx.cpu in
-                        if ps <> 0 then t.sandbox_cy <- t.sandbox_cy + ps;
-                        t.cycles <- t.cycles + dc;
-                        t.insns <- t.insns + di;
-                        t.accesses <- t.accesses + da;
-                        target
-                  | Some kont ->
-                      let g = kont dc di da ps in
-                      fun ctx ->
-                        effects ctx;
-                        g ctx)
-              | _ -> assert false)
+                    effects ctx;
+                    g ctx)
+          | _ -> assert false)
       (* ---- straight-line instructions ---- *)
-      | Li (rd, v) ->
-          let after = comp next (pend_c + own) (pend_i + 1) pend_a pend_s in
+      | _, Li (rd, v) ->
+          let after = comp next dc di da pend_s in
           fun ctx ->
             (ctx.cpu : Cpu.t).regs.(rd) <- v;
             after ctx
-      | Mov (rd, rs) ->
-          let after = comp next (pend_c + own) (pend_i + 1) pend_a pend_s in
+      | _, Mov (rd, rs) ->
+          let after = comp next dc di da pend_s in
           fun ctx ->
             let r = (ctx.cpu : Cpu.t).regs in
             r.(rd) <- r.(rs);
             after ctx
-      | Sandbox rr ->
-          let after = comp next (pend_c + own) (pend_i + 1) pend_a pend_s in
+      | _, Sandbox rr ->
+          let after = comp next dc di da pend_s in
           fun ctx ->
             let t : Cpu.t = ctx.cpu in
             t.regs.(rr) <- Mem.sandbox t.seg t.regs.(rr);
             t.sandbox_cy <- t.sandbox_cy + own;
             after ctx
-      | Alu (op, rd, ra, rb) -> (
+      | _, Alu (op, rd, ra, rb) -> (
           match opcode op with
           | Some o ->
-              let after = comp next (pend_c + own) (pend_i + 1) pend_a pend_s in
+              let after = comp next dc di da pend_s in
               fun ctx ->
                 let r = (ctx.cpu : Cpu.t).regs in
                 r.(rd) <- eval_opc o r.(ra) r.(rb);
                 after ctx
           | None ->
-              let dc = pend_c + own
-              and di = pend_i + 1
-              and da = pend_a in
               let after = comp next 0 0 0 0 in
               fun ctx ->
                 let t : Cpu.t = ctx.cpu in
-                if pend_s <> 0 then
-                  t.sandbox_cy <- t.sandbox_cy + pend_s;
-                t.cycles <- t.cycles + dc;
-                t.insns <- t.insns + di;
-                t.accesses <- t.accesses + da;
+                flush t pend_s dc di da;
                 t.pc <- pc;
                 let r = t.regs in
                 r.(rd) <- faulting_alu op r.(ra) r.(rb);
                 after ctx)
-      | Alui (op, rd, ra, imm) -> (
+      | _, Alui (op, rd, ra, imm) -> (
           match opcode op with
           | Some o ->
-              let after = comp next (pend_c + own) (pend_i + 1) pend_a pend_s in
+              let after = comp next dc di da pend_s in
               fun ctx ->
                 let r = (ctx.cpu : Cpu.t).regs in
                 r.(rd) <- eval_opc o r.(ra) imm;
                 after ctx
           | None ->
-              let dc = pend_c + own
-              and di = pend_i + 1
-              and da = pend_a in
               let after = comp next 0 0 0 0 in
               fun ctx ->
                 let t : Cpu.t = ctx.cpu in
-                if pend_s <> 0 then
-                  t.sandbox_cy <- t.sandbox_cy + pend_s;
-                t.cycles <- t.cycles + dc;
-                t.insns <- t.insns + di;
-                t.accesses <- t.accesses + da;
+                flush t pend_s dc di da;
                 t.pc <- pc;
                 let r = t.regs in
                 r.(rd) <- faulting_alu op r.(ra) imm;
                 after ctx)
-      | Ld (rd, rb, off) ->
-          let dc = pend_c + own
-          and di = pend_i + 1
-          and da = pend_a + 1 in
+      | _, Ld (rd, rb, off) ->
           let after = comp next 0 0 0 0 in
           fun ctx ->
             let t : Cpu.t = ctx.cpu in
-            if pend_s <> 0 then
-              t.sandbox_cy <- t.sandbox_cy + pend_s;
-            t.cycles <- t.cycles + dc;
-            t.insns <- t.insns + di;
+            flush t pend_s dc di da;
             t.pc <- pc;
-            t.accesses <- t.accesses + da;
             t.regs.(rd) <- Mem.load t.mem (t.regs.(rb) + off);
             after ctx
-      | St (rv, rb, off) ->
-          let dc = pend_c + own
-          and di = pend_i + 1
-          and da = pend_a + 1 in
+      | _, St (rv, rb, off) ->
           let after = comp next 0 0 0 0 in
           fun ctx ->
             let t : Cpu.t = ctx.cpu in
-            if pend_s <> 0 then
-              t.sandbox_cy <- t.sandbox_cy + pend_s;
-            t.cycles <- t.cycles + dc;
-            t.insns <- t.insns + di;
+            flush t pend_s dc di da;
             t.pc <- pc;
-            t.accesses <- t.accesses + da;
             Mem.store t.mem (t.regs.(rb) + off) t.regs.(rv);
             after ctx
-      | Push rv ->
-          let dc = pend_c + own
-          and di = pend_i + 1
-          and da = pend_a + 1 in
+      | _, Push rv ->
           let after = comp next 0 0 0 0 in
           fun ctx ->
             let t : Cpu.t = ctx.cpu in
-            if pend_s <> 0 then
-              t.sandbox_cy <- t.sandbox_cy + pend_s;
-            t.cycles <- t.cycles + dc;
-            t.insns <- t.insns + di;
+            flush t pend_s dc di da;
             t.pc <- pc;
-            t.accesses <- t.accesses + da;
             let r = t.regs in
             r.(Insn.sp) <- r.(Insn.sp) - 1;
             Mem.store t.mem r.(Insn.sp) r.(rv);
             after ctx
-      | Pop rd ->
-          let dc = pend_c + own
-          and di = pend_i + 1
-          and da = pend_a + 1 in
+      | _, Pop rd ->
           let after = comp next 0 0 0 0 in
           fun ctx ->
             let t : Cpu.t = ctx.cpu in
-            if pend_s <> 0 then
-              t.sandbox_cy <- t.sandbox_cy + pend_s;
-            t.cycles <- t.cycles + dc;
-            t.insns <- t.insns + di;
+            flush t pend_s dc di da;
             t.pc <- pc;
-            t.accesses <- t.accesses + da;
             let r = t.regs in
             r.(rd) <- Mem.load t.mem r.(Insn.sp);
             r.(Insn.sp) <- r.(Insn.sp) + 1;
             after ctx
-      | Checkcall rr ->
-          let dc = pend_c + own
-          and di = pend_i + 1
-          and da = pend_a in
+      | _, Checkcall rr ->
           let after = comp next 0 0 0 0 in
           fun ctx ->
             let t : Cpu.t = ctx.cpu in
-            if pend_s <> 0 then
-              t.sandbox_cy <- t.sandbox_cy + pend_s;
-            t.cycles <- t.cycles + dc;
-            t.insns <- t.insns + di;
-            t.accesses <- t.accesses + da;
+            flush t pend_s dc di da;
             t.checkcall_cy <- t.checkcall_cy + own;
             t.pc <- pc;
             let id = t.regs.(rr) in
             if ctx.env.call_ok id then after ctx
             else raise (Cpu.Fault_exn (Cpu.Bad_call_target id))
       (* ---- conditional branch inside the block ---- *)
-      | Br (c, ra, rb, target) when next < stop ->
+      | _, Br (c, ra, rb, target) when next < stop ->
           (* Not taken: fall through inline, costs still pending. Taken:
              flush, record the unexecuted remainder for the driver's
              poll counter, and exit early. *)
           let cmp = cond_fn c in
-          let dc = pend_c + own
-          and di = pend_i + 1
-          and da = pend_a in
           let back = stop - next + extra_back in
-          let after = comp next (pend_c + own) (pend_i + 1) pend_a pend_s in
+          let after = comp next dc di da pend_s in
           fun ctx ->
             let t : Cpu.t = ctx.cpu in
             if cmp t.regs.(ra) t.regs.(rb) then begin
-              if pend_s <> 0 then
-                t.sandbox_cy <- t.sandbox_cy + pend_s;
-              t.cycles <- t.cycles + dc;
-              t.insns <- t.insns + di;
-              t.accesses <- t.accesses + da;
+              flush t pend_s dc di da;
               ctx.back <- back;
               target
             end
             else after ctx
       (* ---- terminators ---- *)
-      | Br (c, ra, rb, target) ->
+      | _, Br (c, ra, rb, target) ->
           let cmp = cond_fn c in
-          let dc = pend_c + own
-          and di = pend_i + 1
-          and da = pend_a in
           fun ctx ->
             let t : Cpu.t = ctx.cpu in
-            if pend_s <> 0 then
-              t.sandbox_cy <- t.sandbox_cy + pend_s;
-            t.cycles <- t.cycles + dc;
-            t.insns <- t.insns + di;
-            t.accesses <- t.accesses + da;
+            flush t pend_s dc di da;
             if cmp t.regs.(ra) t.regs.(rb) then target else next
-      | Jmp target -> (
-          let dc = pend_c + own
-          and di = pend_i + 1
-          and da = pend_a in
+      | _, Jmp target -> (
           match chain with
           | None ->
               fun ctx ->
-                let t : Cpu.t = ctx.cpu in
-                if pend_s <> 0 then
-                  t.sandbox_cy <- t.sandbox_cy + pend_s;
-                t.cycles <- t.cycles + dc;
-                t.insns <- t.insns + di;
-                t.accesses <- t.accesses + da;
+                flush ctx.cpu pend_s dc di da;
                 target
           | Some kont ->
               (* A chained loop-closing jump vanishes at compile time:
                  the next copy's first closure IS this jump's closure,
                  entered with the jump's counts still pending. *)
               kont dc di da pend_s)
-      | Call target ->
-          let dc = pend_c + own
-          and di = pend_i + 1
-          and da = pend_a in
+      | _, Call target ->
           fun ctx ->
             let t : Cpu.t = ctx.cpu in
-            if pend_s <> 0 then
-              t.sandbox_cy <- t.sandbox_cy + pend_s;
-            t.cycles <- t.cycles + dc;
-            t.insns <- t.insns + di;
-            t.accesses <- t.accesses + da;
+            flush t pend_s dc di da;
             t.pc <- pc;
             Cpu.push_call t next;
             target
-      | Callr rr ->
-          let dc = pend_c + own
-          and di = pend_i + 1
-          and da = pend_a in
+      | _, Callr rr ->
           fun ctx ->
             let t : Cpu.t = ctx.cpu in
-            if pend_s <> 0 then
-              t.sandbox_cy <- t.sandbox_cy + pend_s;
-            t.cycles <- t.cycles + dc;
-            t.insns <- t.insns + di;
-            t.accesses <- t.accesses + da;
+            flush t pend_s dc di da;
             t.pc <- pc;
             Cpu.push_call t next;
             t.regs.(rr)
-      | Ret ->
-          let dc = pend_c + own
-          and di = pend_i + 1
-          and da = pend_a in
+      | _, Ret ->
           fun ctx ->
             let t : Cpu.t = ctx.cpu in
-            if pend_s <> 0 then
-              t.sandbox_cy <- t.sandbox_cy + pend_s;
-            t.cycles <- t.cycles + dc;
-            t.insns <- t.insns + di;
-            t.accesses <- t.accesses + da;
+            flush t pend_s dc di da;
             if t.depth = 0 then begin
               t.pc <- pc;
               finish ctx Cpu.Halted
@@ -947,49 +816,28 @@ module Fast_body = struct
               t.depth <- t.depth - 1;
               t.callstack.(t.depth)
             end
-      | Kcall id ->
-          let dc = pend_c + own
-          and di = pend_i + 1
-          and da = pend_a in
+      | _, Kcall id ->
           fun ctx ->
             let t : Cpu.t = ctx.cpu in
-            if pend_s <> 0 then
-              t.sandbox_cy <- t.sandbox_cy + pend_s;
-            t.cycles <- t.cycles + dc;
-            t.insns <- t.insns + di;
-            t.accesses <- t.accesses + da;
+            flush t pend_s dc di da;
             t.pc <- pc;
             (match ctx.env.kcall id t with
             | Cpu.K_ok -> next
             | Cpu.K_abort reason -> finish ctx (Cpu.Aborted reason)
             | Cpu.K_fault f -> finish ctx (Cpu.Faulted f))
-      | Kcallr rr ->
-          let dc = pend_c + own
-          and di = pend_i + 1
-          and da = pend_a in
+      | _, Kcallr rr ->
           fun ctx ->
             let t : Cpu.t = ctx.cpu in
-            if pend_s <> 0 then
-              t.sandbox_cy <- t.sandbox_cy + pend_s;
-            t.cycles <- t.cycles + dc;
-            t.insns <- t.insns + di;
-            t.accesses <- t.accesses + da;
+            flush t pend_s dc di da;
             t.pc <- pc;
             (match ctx.env.kcall t.regs.(rr) t with
             | Cpu.K_ok -> next
             | Cpu.K_abort reason -> finish ctx (Cpu.Aborted reason)
             | Cpu.K_fault f -> finish ctx (Cpu.Faulted f))
-      | Halt ->
-          let dc = pend_c + own
-          and di = pend_i + 1
-          and da = pend_a in
+      | _, Halt ->
           fun ctx ->
             let t : Cpu.t = ctx.cpu in
-            if pend_s <> 0 then
-              t.sandbox_cy <- t.sandbox_cy + pend_s;
-            t.cycles <- t.cycles + dc;
-            t.insns <- t.insns + di;
-            t.accesses <- t.accesses + da;
+            flush t pend_s dc di da;
             t.pc <- pc;
             finish ctx Cpu.Halted
   in
@@ -1041,13 +889,6 @@ let translate ?(costs = Costs.default) ?safe prog =
       | Br _ -> ()
       | i -> if terminates i && pc + 1 < n then leader.(pc + 1) <- true)
     prog;
-  let sum_cost lo hi =
-    let cost = ref 0 in
-    for m = lo to hi - 1 do
-      cost := !cost + Costs.insn costs prog.(m)
-    done;
-    !cost
-  in
   let fused = ref 0 in
   let elided = ref 0 in
   (* Fusion counts are kept for block-head tails only. *)
@@ -1089,7 +930,7 @@ let translate ?(costs = Costs.default) ?safe prog =
       body_of_pc.(k) <-
         compile_block ~costs ~safe_at prog ~start:k ~stop ~fused:f ~elided:e;
       len_of_pc.(k) <- stop - k;
-      cost_of_pc.(k) <- sum_cost k stop
+      cost_of_pc.(k) <- sum_cost costs prog k stop
     done;
     incr nblocks;
     pc := bstop
@@ -1154,11 +995,11 @@ let translate ?(costs = Costs.default) ?safe prog =
               xb.(room) <- f;
               f ctx);
           xc.(room) <-
-            (if room < p then sum_cost k (k + room)
+            (if room < p then sum_cost costs prog k (k + room)
              else
                let rest = room - p in
                cost_of_pc.(k) + (rest / flen * lcost)
-               + sum_cost h (h + (rest mod flen)))
+               + sum_cost costs prog h (h + (rest mod flen)))
         done;
         exact_body.(k) <- xb;
         exact_cost.(k) <- xc

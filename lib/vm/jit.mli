@@ -7,7 +7,9 @@
     becomes a pre-resolved OCaml closure (direct threading), MiSFIT and
     proof-carrying access groups and whole transform-loop passes are
     fused into superinstructions, and the fuel/poll checks are hoisted to
-    block boundaries.
+    block boundaries. Counters are charged statically and added to the
+    cpu by one flush, which every instruction that can fault, stop or
+    call out runs, together with a store of its own pc, before it acts.
 
     The translation is {b bit-identical} to the interpreter at every
     observable point: [cycles], [insns_executed], [mem_accesses],

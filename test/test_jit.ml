@@ -202,6 +202,20 @@ let make_env buf =
   in
   ({ Cpu.kcall; call_ok; poll }, polls, checks, abort_at)
 
+(* A deep call stack (the overflow programs reach 4,096 frames, one
+   slice per call) renders as a hash of all its entries: printing every
+   frame at every slice would cost quadratic time in the depth. *)
+let pp_stack (c : Cpu.t) =
+  if c.Cpu.depth <= 16 then
+    String.concat ";" (List.map string_of_int (Cpu.call_stack c))
+  else begin
+    let h = ref 0 in
+    for k = 0 to c.Cpu.depth - 1 do
+      h := (!h * 31) + c.Cpu.callstack.(k)
+    done;
+    Printf.sprintf "#%x" !h
+  end
+
 let pp_snap buf tag outcome (c : Cpu.t) =
   Buffer.add_string buf
     (Format.asprintf
@@ -210,8 +224,7 @@ let pp_snap buf tag outcome (c : Cpu.t) =
        tag Cpu.pp_outcome outcome c.Cpu.pc (Cpu.cycles c)
        (Cpu.insns_executed c) (Cpu.mem_accesses c) (Cpu.sandbox_cycles c)
        (Cpu.checkcall_cycles c)
-       c.Cpu.depth
-       (String.concat ";" (List.map string_of_int (Cpu.call_stack c)))
+       c.Cpu.depth (pp_stack c)
        (String.concat ";"
           (Array.to_list (Array.map string_of_int c.Cpu.regs))))
 
@@ -429,6 +442,85 @@ let straight_line len =
       Halt;
     ]
 
+(* Flush sites. Every instruction that can fault, stop or hand the cpu
+   to kernel code flushes the pending counts and stores its pc first. A
+   site is only seen when something is pending there, so each program
+   runs a confined access group (whose sandbox cycles stay pending until
+   the next flush) right before a flushing instruction of each kind: in
+   one block through every non-faulting kind, and in one program per
+   fault (divide by a zero register or immediate, a push below memory,
+   call-stack overflow through [call] and through [callr]), which shows
+   the stored pc. *)
+let label_pc items name =
+  let rec go pc = function
+    | [] -> invalid_arg name
+    | Asm.Label l :: _ when l = name -> pc
+    | Asm.Label _ :: rest -> go pc rest
+    | _ :: rest -> go (pc + 1) rest
+  in
+  go 0 items
+
+let ld_group = [ Asm.Sandbox Asm.r1; Ld (Asm.r5, Asm.r1, 0) ]
+let st_group =
+  [ Asm.Mov (Asm.r3, Asm.r1); Sandbox Asm.r3; St (Asm.r5, Asm.r3, 0) ]
+
+let flush_kinds =
+  List.concat
+    [
+      ld_group; [ Asm.Ld (Asm.r6, Asm.r2, 3) ];
+      st_group; [ Asm.St (Asm.r6, Asm.r2, 4) ];
+      ld_group; [ Asm.Push Asm.r5 ];
+      st_group; [ Asm.Pop Asm.r7 ];
+      ld_group; [ Asm.Checkcall Asm.r0 ];
+      st_group; [ Asm.Alu (Insn.Div, Asm.r8, Asm.r2, Asm.r9) ];
+      ld_group; [ Asm.Alui (Insn.Rem, Asm.r8, Asm.r8, 5) ];
+      (* taken inside its block, then at a block end *)
+      st_group; [ Asm.Br (Insn.Ne, Asm.r0, Asm.r9, "b1"); Halt; Label "b1" ];
+      ld_group; [ Asm.Br (Insn.Eq, Asm.r0, Asm.r9, "b2"); Label "b2" ];
+      ld_group; [ Asm.Jmp "b3"; Label "b3" ];
+      st_group; [ Asm.Jmp "b4"; Label "b4" ];
+      ld_group; [ Asm.Kcall_id 1 ];
+      st_group; [ Asm.Kcallr Asm.r0 ];
+      ld_group; [ Asm.Call "sub" ];
+      st_group; [ Asm.Callr Asm.r10 ];
+      ld_group; [ Asm.Halt; Label "sub" ];
+      st_group; [ Asm.Ret ];
+    ]
+
+(* Self-loops whose body ends in an access group and the closing jump:
+   in an unrolled window the group's charges, sandbox cycles included,
+   ride into the next copy instead of being flushed. *)
+let group_loops =
+  List.concat
+    [
+      [ Asm.Li (Asm.r8, 9); Label "l1"; Br (Insn.Le, Asm.r8, Asm.r0, "l2") ];
+      [ Asm.Alui (Insn.Sub, Asm.r8, Asm.r8, 1) ];
+      ld_group; [ Asm.Jmp "l1"; Label "l2"; Li (Asm.r8, 9); Label "l3" ];
+      [ Asm.Br (Insn.Le, Asm.r8, Asm.r0, "l4") ];
+      [ Asm.Alui (Insn.Sub, Asm.r8, Asm.r8, 1) ];
+      st_group; [ Asm.Jmp "l3"; Label "l4"; Halt ];
+    ]
+
+let flush_workloads () =
+  let code items = (Asm.assemble_exn items).Asm.code in
+  let regs extra = [ (1, seg_base); (2, seg_base + 17); (9, 3) ] @ extra in
+  let run name items extra =
+    (name, code items, None, image ~regs:(regs extra) ~mem:[])
+  in
+  [
+    run "flush-kinds" flush_kinds [ (10, label_pc flush_kinds "sub") ];
+    run "group-loops" group_loops [];
+    run "div-zero"
+      (ld_group @ [ Asm.Alu (Insn.Div, Asm.r6, Asm.r2, Asm.r0); Halt ]) [];
+    run "divi-zero"
+      (st_group @ [ Asm.Alui (Insn.Rem, Asm.r6, Asm.r2, 0); Halt ]) [];
+    run "push-below-memory" (ld_group @ [ Asm.Push Asm.r5; Halt ])
+      [ (Insn.sp, 0) ];
+    run "call-overflow"
+      ((Asm.Label "rec" :: ld_group) @ [ Asm.Call "rec" ]) [];
+    run "callr-overflow" (st_group @ [ Asm.Callr Asm.r0 ]) [];
+  ]
+
 let fixed_workloads () =
   let crypt = Vino_stream.Grafts.xor_encrypt_source ~key:0x5EC2E7 in
   let crypt_regs =
@@ -501,6 +593,26 @@ let fixed_workloads () =
       ("block70", (Asm.assemble_exn (straight_line 70)).Asm.code, None,
        image ~regs:block_regs ~mem:[]);
     ]
+  @ flush_workloads ()
+
+(* Call-stack overflow takes 4,096 calls of one refuelled slice each, so
+   the overflow programs run sliced at two poll intervals only. *)
+let configs_for name =
+  if String.ends_with ~suffix:"-overflow" name then
+    List.filter
+      (fun c -> c.max_slices = 1 || c.poll_every = 1 || c.poll_every = 32)
+      fixed_configs
+  else fixed_configs
+
+(* How a program ends when interpreted in one slice. *)
+let interp_outcome code (init_regs, init_mem) =
+  let env, _, _, _ = make_env (Buffer.create 64) in
+  let mem = Mem.create mem_words in
+  Mem.blit_in mem 0 init_mem;
+  let seg = Mem.segment ~base:seg_base ~size:seg_size in
+  let cpu = Cpu.make ~mem ~seg ~fuel:1_000_000 () in
+  Array.iteri (fun k v -> Cpu.set_reg cpu k v) init_regs;
+  Format.asprintf "%a" Cpu.pp_outcome (Cpu.run env cpu code)
 
 let test_fixed_workloads () =
   let ws = fixed_workloads () in
@@ -509,8 +621,22 @@ let test_fixed_workloads () =
       List.iter
         (fun cfg ->
           differential ~seed:0 ~vname ~cfg ~init_regs ~init_mem ?safe code)
-        fixed_configs)
+        (configs_for vname))
     ws;
+  Alcotest.(check (list (pair string string)))
+    "flush-site programs end where they are meant to"
+    [
+      ("flush-kinds", "halted");
+      ("group-loops", "halted");
+      ("div-zero", "faulted: division by zero");
+      ("divi-zero", "faulted: division by zero");
+      ("push-below-memory", "faulted: memory fault (store to addr -1)");
+      ("call-overflow", "faulted: call stack overflow");
+      ("callr-overflow", "faulted: call stack overflow");
+    ]
+    (List.map
+       (fun (name, code, _, init) -> (name, interp_outcome code init))
+       (flush_workloads ()));
   let proved =
     List.filter_map
       (fun (name, _, safe, _) ->

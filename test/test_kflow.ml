@@ -197,6 +197,7 @@ let load_exn kernel source =
       | Error e -> Alcotest.fail e)
 
 let run_loaded ~mode kernel (loaded : Linker.loaded) =
+  kernel.Kernel.exec_mode <- mode;
   let result = ref None in
   ignore
     (Engine.spawn kernel.Kernel.engine ~name:"kflow" (fun () ->
@@ -205,7 +206,7 @@ let run_loaded ~mode kernel (loaded : Linker.loaded) =
            Wrapper.exec kernel ~txn ~cred:Vino_core.Cred.root
              ~limits:(Rlimit.unlimited ()) ~seg:loaded.Linker.seg
              ~code:loaded.Linker.code ~flow:loaded.Linker.flow
-             ~trans:loaded.Linker.trans ~mode
+             ~trans:loaded.Linker.trans
              ~setup:(fun _ -> ())
              ()
          in

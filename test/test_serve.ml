@@ -275,9 +275,12 @@ let test_config_validation () =
 (* The full serve report, byte for byte, against committed
    [vino serve --json] output: host-side bookkeeping (how arrivals are
    queued, transaction frames recycled, kernel memory reused) must not
-   move a single virtual cycle, sample or key. *)
+   move a single virtual cycle, sample or key. The files are read from
+   the test binary's directory, where the test stanza's deps put them,
+   so the check passes from any working directory. *)
 let check_golden file cfg () =
-  let expected = In_channel.with_open_bin file In_channel.input_all in
+  let path = Filename.concat (Filename.dirname Sys.executable_name) file in
+  let expected = In_channel.with_open_bin path In_channel.input_all in
   Alcotest.(check string) file expected
     (Vino_trace.Json.to_string (Serve.to_json (Serve.run cfg)))
 

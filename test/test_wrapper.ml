@@ -34,7 +34,8 @@ let exec_in_process kernel ~slice ~budget loaded =
          let _, outcome =
            Wrapper.exec kernel ~txn ~cred:Vino_core.Cred.root
              ~limits:(Rlimit.unlimited ()) ~seg:loaded.Linker.seg
-             ~code:loaded.Linker.code ~slice ~budget
+             ~code:loaded.Linker.code ~flow:loaded.Linker.flow
+             ~trans:loaded.Linker.trans ~slice ~budget
              ~setup:(fun _ -> ())
              ()
          in
@@ -115,7 +116,8 @@ let test_abort_observed_between_slices () =
          let _, outcome =
            Wrapper.exec kernel ~txn ~cred:Vino_core.Cred.root
              ~limits:(Rlimit.unlimited ()) ~seg:loaded.Linker.seg
-             ~code:loaded.Linker.code ~slice:5_000 ~budget:max_int
+             ~code:loaded.Linker.code ~flow:loaded.Linker.flow
+             ~trans:loaded.Linker.trans ~slice:5_000 ~budget:max_int
              ~setup:(fun _ -> ())
              ()
          in
